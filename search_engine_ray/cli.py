@@ -81,7 +81,8 @@ def main(argv=None) -> int:
     s.add_argument("--quoted", action="store_true",
                    help='bm25 + positional index only: honor "..." '
                         "spans in the query as exact-phrase "
-                        "constraints (quote them from your shell)")
+                        "constraints (quote them from your shell; "
+                        "not with --fuzzy)")
     s.add_argument("--tier", type=int, metavar="M",
                    help="champion-list tiered retrieval: candidates "
                         "come from each term's top-M-by-tf posting "
@@ -251,6 +252,10 @@ def main(argv=None) -> int:
         if args.quoted:
             if args.mode != "bm25":
                 ap.error("--quoted needs --mode bm25")
+            if args.fuzzy:
+                # phrase terms match positions exactly: a typo inside
+                # quotes would silently gate every doc out
+                ap.error("--quoted and --fuzzy are exclusive")
             from search_engine_ray.query.engine import parse_quoted_query
 
             qtext, phrases = parse_quoted_query(qtext)

@@ -52,8 +52,12 @@ class OracleIndex:
         self.df: dict[str, int] = {}
         self.global_capitals: dict[str, bool] = {}
         self.entities = Counter()
-        self.doc_meta: dict[int, tuple] = {}  # doc_id -> (glove_vec, ts_us)
-        self.doc_covid: set[int] = set()
+        self.doc_ts: dict[int, int] = {}  # doc_id -> ts_us
+        # doc_id -> its distinct terms in parse order; the GloVe centroid
+        # is derived from them on first use (doc_vector), since only the
+        # reference scorer reads it
+        self.doc_terms: dict[int, tuple[str, ...]] = {}
+        self._doc_vec: dict[int, np.ndarray] = {}
         self.tokens_by_url: dict[str, list[str]] = {}
         self.n_docs = 0
         self.sum_dl = 0
@@ -92,18 +96,9 @@ class OracleIndex:
                 self.global_capitals[term] = False
         for ent in parsed.entities:
             self.entities[ent] += 1
-        vec = np.zeros(self.config.glove_dim)
-        is_covid = False
-        for term in parsed.term_tfs:
-            if term == "covid":
-                is_covid = True
-            g = self.glove.get(term)
-            if g is not None:
-                vec = vec + g
-        vec = vec / len(parsed.term_tfs)
-        self.doc_meta[doc_id] = (vec, warc_ts_us)
-        if is_covid:
-            self.doc_covid.add(doc_id)
+        self.doc_ts[doc_id] = warc_ts_us
+        self.doc_terms[doc_id] = tuple(parsed.term_tfs)
+        self._doc_vec.pop(doc_id, None)
         for term, tf in parsed.term_tfs.items():
             self.df[term] = self.df.get(term, 0) + 1
             self.postings.setdefault(term, []).append(
@@ -112,25 +107,40 @@ class OracleIndex:
             )
         return True
 
+    def doc_vector(self, doc_id: int) -> np.ndarray:
+        """The doc's GloVe centroid (indexer.py:54-61): the sum of its
+        distinct terms' vectors in parse order over the distinct-term
+        count, computed on first use and kept."""
+        vec = self._doc_vec.get(doc_id)
+        if vec is None:
+            terms = self.doc_terms[doc_id]
+            vec = np.zeros(self.config.glove_dim)
+            for term in terms:
+                g = self.glove.get(term)
+                if g is not None:
+                    vec = vec + g
+            vec = vec / len(terms)
+            self._doc_vec[doc_id] = vec
+        return vec
+
     def build_tweets(self, rows) -> "OracleIndex":
         for row in rows:
             self.add_tweet_row(list(row))
         self.finalize()
         return self
 
-    def finalized_rules(self, prune_df1: bool):
+    def final_terms(self, prune_df1: bool) -> dict[str, str]:
         """The reference's merge-time rules (indexer.py:156-169) applied
-        WITHOUT mutating the accumulator: (term -> doc-sorted plist,
-        term -> df).  ``prune_df1`` is a parameter (not read from
-        config) because the NRT segment (query/nrt.py) must defer the
-        df==1 prune to the COMBINED base+segment df; ``finalize`` passes
-        the config value.  The prune runs inside the loop, per ORIG
-        term, so a pruned orig can never displace an earlier rewrite
-        winner (the reference's exact insert-order semantics)."""
-        final_postings: dict[str, list[tuple]] = {}
-        final_df: dict[str, int] = {}
+        WITHOUT mutating the accumulator: final term -> the orig term
+        whose postings and df it carries.  ``prune_df1`` is a parameter
+        (not read from config) because the NRT segment (query/nrt.py)
+        must defer the df==1 prune to the COMBINED base+segment df;
+        ``finalize`` passes the config value.  The prune runs inside the
+        loop, per ORIG term, so a pruned orig can never displace an
+        earlier rewrite winner (the reference's exact insert-order
+        semantics)."""
+        out: dict[str, str] = {}
         for term in sorted(self.postings):
-            plist = sorted(self.postings[term], key=lambda t: t[0])
             out_term = term
             if term in self.entities and self.entities[term] < 2:
                 continue
@@ -138,14 +148,19 @@ class OracleIndex:
                 out_term = term.upper()
             if prune_df1 and self.df[term] == 1:
                 continue
-            final_postings[out_term] = plist
-            final_df[out_term] = self.df[term]
-        return final_postings, final_df
+            out[out_term] = term
+        return out
+
+    def sorted_postings(self, term: str) -> list[tuple]:
+        """An orig term's postings sorted by doc id."""
+        return sorted(self.postings[term], key=lambda t: t[0])
 
     def finalize(self):
         """Apply the reference's merge-time rules (indexer.py:156-169)."""
-        self.postings, self.df = self.finalized_rules(
-            self.config.prune_df1)
+        terms = self.final_terms(self.config.prune_df1)
+        self.postings, self.df = (
+            {o: self.sorted_postings(t) for o, t in terms.items()},
+            {o: self.df[t] for o, t in terms.items()})
         self.avg_dl = self.sum_dl / self.n_docs if self.n_docs else 0.0
 
     def build(self, pages) -> "OracleIndex":
@@ -235,11 +250,10 @@ class OracleIndex:
                     1 - cfg.bm25_b + cfg.bm25_b * dl / self.avg_dl
                 )
                 bm25 += qidf[i] * dtf[i] * (cfg.bm25_k1 + 1) / denom
-            gvec, ts = self.doc_meta[doc_id]
-            gcos = _cosine(gvec, qg)
+            gcos = _cosine(self.doc_vector(doc_id), qg)
             score = (cfg.w_cos_weight * wcos + cfg.bm25_weight * bm25
                      + cfg.glove_weight * gcos)
-            ranked.append((score, doc_id, ts))
+            ranked.append((score, doc_id, self.doc_ts[doc_id]))
 
         # reference order: insort by (score, id, date) then stable sort by
         # (score, date) -> net ascending (score, date, id); last k
@@ -264,7 +278,7 @@ class OracleIndex:
                 scores[doc_id] = scores.get(doc_id, 0.0) + (
                     t_idf * tf * (cfg.bm25_k1 + 1) / denom
                 )
-                meta[doc_id] = self.doc_meta[doc_id][1]
+                meta[doc_id] = self.doc_ts[doc_id]
         ranked = [(s, d, meta[d]) for d, s in scores.items()]
         ranked.sort(key=lambda t: (t[0], t[2], t[1]))
         return ranked[-k:] if k <= len(ranked) else ranked

@@ -89,6 +89,10 @@ class _EngineWorker:
         results stay identical to the in-process engine per query."""
         o = dict(opts or {})
         tier = o.pop("tier", None)
+        if tier is not None and self.mode != "bm25":
+            # champion-list tiers are a BM25 retrieval strategy
+            raise ValueError(
+                f"tier serves only mode='bm25', not {self.mode!r}")
         if tier is not None and set(o) - {"fuzzy"}:
             raise ValueError(
                 "tier composes only with fuzzy; other serving options "

@@ -31,6 +31,8 @@ reader is the single-node instantiation.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 import os
 
@@ -278,6 +280,7 @@ class SearchEngine:
         self._pcache: dict[str, dict | None] = {}
         self._pcache_max_terms = 100_000  # FIFO eviction bound
         self._fuzzy = None  # lazy ops/fulltext.FuzzyCorrector
+        self._terms_sorted = None  # lazy sorted vocabulary (prefixes)
         self._io_pool = None  # lazy posting-read thread pool
 
         self._docmeta_ds = _maybe_dataset("docmeta")
@@ -619,6 +622,11 @@ class SearchEngine:
         found = self._meta["ids"][pos] == doc_ids
         return pos, found
 
+    def _ts_of(self, doc_ids: np.ndarray) -> np.ndarray:
+        """Docmeta ts per doc id; 0 for ids the docmeta lacks."""
+        pos, found = self._meta_for(doc_ids)
+        return self._meta["ts"][pos] * found
+
     # ------------------------------------------------------- did-you-mean
     def fuzzy_correct(self, term: str) -> str | None:
         """The best one-edit dictionary correction for ``term``: the
@@ -871,9 +879,7 @@ class SearchEngine:
                 np.add.at(boost, pos_c[hit],
                           weight / (1.0 + gaps[hit]))
         scores = scores + boost
-        pos, found = self._meta_for(cand)
-        ts = self._meta["ts"][pos] * found
-        return _topk_reference_order(scores, cand, ts, k)
+        return _topk_by_score(scores, cand, k, self._ts_of)
 
     def search_common_terms(self, query_text: str, k: int = 10,
                             df_den: int = 2):
@@ -924,11 +930,24 @@ class SearchEngine:
         if not query:
             return []
         *head, pre = query
-        comps = sorted(
-            (t for t in self.df_map if t.startswith(pre)),
-            key=lambda t: (-self.df_map[t], t))[:max_expansions]
+        comps = heapq.nsmallest(max_expansions, self._with_prefix(pre),
+                                key=lambda t: (-self.df_map[t], t))
         terms = list(dict.fromkeys(head + (comps or [pre])))
         return self._search_bm25_taat(terms, k)
+
+    def _with_prefix(self, pre: str) -> list[str]:
+        """Dictionary terms starting with ``pre``: one bisect into the
+        sorted vocabulary (built on first use, so opening an engine does
+        not pay for it)."""
+        if self._terms_sorted is None:
+            self._terms_sorted = sorted(self.df_map)
+        terms = self._terms_sorted
+        lo = bisect.bisect_left(terms, pre)
+        hi = bisect.bisect_left(terms, pre + "\U0010ffff", lo)
+        # a term whose next char is U+10FFFF itself sorts past the bound
+        while hi < len(terms) and terms[hi].startswith(pre):
+            hi += 1
+        return terms[lo:hi]
 
     def candidate_stats(self, query_text: str, m: int = 32,
                         df_den: int = 2) -> dict:
@@ -995,9 +1014,7 @@ class SearchEngine:
         bym = p.setdefault("champ", {})
         got = bym.get(m)
         if got is None:
-            pos, found = self._meta_for(ids)
-            ts = self._meta["ts"][pos] * found
-            order = np.lexsort((ids, ts, -p["tfs"]))[:m]
+            order = np.lexsort((ids, self._ts_of(ids), -p["tfs"]))[:m]
             got = bym[m] = np.sort(ids[order])
         return got
 
@@ -1054,9 +1071,7 @@ class SearchEngine:
             pos_c = np.minimum(pos, len(cand) - 1)
             hit = cand[pos_c] == ids
             np.add.at(scores, pos_c[hit], c[hit])
-        pos, found = self._meta_for(cand)
-        ts = self._meta["ts"][pos] * found
-        return _topk_reference_order(scores, cand, ts, k)
+        return _topk_by_score(scores, cand, k, self._ts_of)
 
     def _idf(self, term: str) -> float:
         df = self.df_map.get(term)
@@ -1210,11 +1225,8 @@ class SearchEngine:
             lt = scores < a_score
             eqm = np.flatnonzero(scores == a_score)
             if eqm.size:
-                if ts_pre is not None:
-                    ts_eq = ts_pre[eqm]
-                else:
-                    pos_eq, found_eq = self._meta_for(cand[eqm])
-                    ts_eq = self._meta["ts"][pos_eq] * found_eq
+                ts_eq = (ts_pre[eqm] if ts_pre is not None
+                         else self._ts_of(cand[eqm]))
                 keep_eq = (ts_eq < a_ts) | ((ts_eq == a_ts)
                                             & (cand[eqm] < a_id))
                 lt[eqm[keep_eq]] = True
@@ -1224,24 +1236,9 @@ class SearchEngine:
             scores, cand = scores[keep], cand[keep]
             if ts_pre is not None:
                 ts_pre = ts_pre[keep]
-        # prune by score BEFORE the ts gather (scores alone decide
-        # membership above the k-th-best boundary; ties at the boundary
-        # are all kept so the (ts, id) tie-break stays exact) — the ts
-        # sidecar pages are touched for ~k docs, not every candidate
-        n = len(scores)
-        if k > 0 and n > 4 * k:
-            part = np.argpartition(scores, n - k)
-            s_k = scores[part[n - k]]
-            keep = np.flatnonzero(scores >= s_k)
-            scores, cand = scores[keep], cand[keep]
-            if ts_pre is not None:
-                ts_pre = ts_pre[keep]
-        if ts_pre is None:
-            pos, found = self._meta_for(cand)
-            ts = self._meta["ts"][pos] * found
-        else:
-            ts = ts_pre
-        return _topk_reference_order(scores, cand, ts, k)
+        if ts_pre is not None:
+            return _topk_reference_order(scores, cand, ts_pre, k)
+        return _topk_by_score(scores, cand, k, self._ts_of)
 
     def search_explain(self, query_text: str, k: int = 10):
         """EXPLAIN for the block-max WAND path: run the query and return
@@ -1446,22 +1443,40 @@ def expand_synonyms(query: list[str],
     return expanded
 
 
+def _score_keep(scores: np.ndarray, k: int) -> np.ndarray | None:
+    """Indices of the candidates whose score >= the k-th-best score
+    (O(n) argpartition; score-boundary TIES are all kept, so the
+    (ts, doc_id) tie-break stays exact), or None when there are at most
+    4k candidates and a prune would not pay."""
+    n = len(scores)
+    if k <= 0 or n <= 4 * k:
+        return None
+    s_k = scores[np.argpartition(scores, n - k)[n - k]]
+    return np.flatnonzero(scores >= s_k)
+
+
+def _topk_by_score(scores: np.ndarray, doc_ids: np.ndarray, k: int,
+                   ts_of):
+    """``_topk_reference_order`` with the score prune run BEFORE the ts
+    gather: scores alone decide membership above the k-th-best boundary,
+    so ``ts_of(doc_ids)`` is asked for ~k docs, not every candidate."""
+    keep = _score_keep(scores, k)
+    if keep is not None:
+        scores, doc_ids = scores[keep], doc_ids[keep]
+    return _topk_reference_order(scores, doc_ids, ts_of(doc_ids), k)
+
+
 def _topk_reference_order(scores: np.ndarray, doc_ids: np.ndarray,
                           ts: np.ndarray, k: int):
     """Ascending (score, ts, doc_id), last k (ranker.py:51-63).
 
-    O(n) argpartition pre-prune before the tie-breaking lexsort: keep
-    every candidate whose score >= the k-th-best score (score-boundary
-    TIES are all kept, so the (ts, doc_id) tie-break stays exact), then
-    full-sort only that remainder — head-term queries carry 10k+
+    The ``_score_keep`` prune runs before the tie-breaking lexsort, so
+    only the remainder is fully sorted — head-term queries carry 10k+
     candidates where only k survive."""
     if k <= 0:
         return []
-    n = len(scores)
-    if n > 4 * k:
-        part = np.argpartition(scores, n - k)
-        s_k = scores[part[n - k]]
-        keep = np.flatnonzero(scores >= s_k)
+    keep = _score_keep(scores, k)
+    if keep is not None:
         scores, doc_ids, ts = scores[keep], doc_ids[keep], ts[keep]
     order = np.lexsort((doc_ids, ts, scores))
     order = order[-k:] if k <= len(order) else order

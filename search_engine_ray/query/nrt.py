@@ -20,6 +20,18 @@ capitals/entity rules segment-locally and the df==1 prune on the
 COMBINED df, so NRT is eventually-consistent until ``flush`` (exactly
 Lucene's posture: global decisions re-derive at merge time).
 
+Cost model.  An add is a duplicate check (one vectorized docmeta
+lookup per batch) plus the parse and the accumulator's dict appends; no
+GloVe centroid is built (only the oracle's reference scorer reads one,
+on first use).  The first search after an add refreshes the segment: one
+dict-rules pass over the segment's terms and the sorted (doc id, ts)
+arrays, O(segment terms + segment docs), with no posting conversion.  A
+search converts and scores only the terms it touches: a term's combined
+base+segment (doc ids, idf * tf_norm) arrays are built once per refresh
+and cached, so the refresh caches hold only the terms queried since the
+last add.  Candidates are pruned by score before the ts gather, as in
+``SearchEngine``'s TAAT path.
+
 At cluster scale the segment is per-ingest-actor state (the same
 placement as ST4's accumulators-turned-shuffles): deltas stay small
 because ``flush`` periodically persists them through the build's own
@@ -29,6 +41,7 @@ spill+reduce via index/merge.py (no re-parse of the base corpus).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +49,15 @@ from search_engine_ray.ids import doc_id_for_url
 from search_engine_ray.index import manifest as mf
 from search_engine_ray.index.encoding import tf_norm
 from search_engine_ray.oracle import OracleIndex
-from search_engine_ray.query.engine import (
-    SearchEngine,
-    _topk_reference_order,
-)
+from search_engine_ray.query.engine import SearchEngine, _topk_by_score
+
+
+class _Segment(NamedTuple):
+    """One refresh of the segment, valid until the next add."""
+    terms: dict          # final term -> orig accumulator term (rules pass)
+    contrib: dict        # final term -> (doc-sorted ids, idf*tf_norm) | None
+    ids: np.ndarray      # segment doc ids, sorted
+    ts: np.ndarray       # their ts, aligned with ``ids``
 
 
 class NrtSearchEngine:
@@ -52,7 +70,7 @@ class NrtSearchEngine:
         self._base_sum_dl = int(man["sum_doc_length"])
         self._raw = OracleIndex(self.base.cfg)
         self._pages: list[tuple[str, int, str]] = []
-        self._view = None  # cached finalized segment view
+        self._view: _Segment | None = None
 
     # ------------------------------------------------------------ ingest
     @property
@@ -80,11 +98,12 @@ class NrtSearchEngine:
         # reject must leave the engine exactly as it was (no
         # half-applied batch, no stale cached view)
         batch = [(url, int(ts), text) for url, ts, text in pages]
+        dids = [doc_id_for_url(url) for url, _ts, _text in batch]
+        _pos, in_base = self.base._meta_for(np.array(dids, np.int64))
         seen: set[int] = set()
-        for url, _ts, _text in batch:
-            did = doc_id_for_url(url)
-            _pos, found = self.base._meta_for(np.array([did], np.int64))
-            if bool(found[0]) or did in self._raw.doc_meta or did in seen:
+        for (url, _ts, _text), did, dup in zip(batch, dids,
+                                               in_base.tolist()):
+            if dup or did in self._raw.doc_ts or did in seen:
                 raise ValueError(f"url already indexed: {url!r}")
             seen.add(did)
         added = 0
@@ -98,29 +117,79 @@ class NrtSearchEngine:
         return added
 
     # ----------------------------------------------------------- segment
-    def _segment(self):
-        """Finalized view of the in-memory segment WITHOUT mutating the
-        accumulator (OracleIndex.finalize is one-shot; NRT keeps
-        accepting adds): {term: (ids, tfs, dls)}, {term: df}, {id: ts}.
-        Dict rules are applied segment-locally except the df==1 prune,
-        which must see the COMBINED df (search applies it)."""
-        if self._view is not None:
-            return self._view
-        o = self._raw
-        # the oracle's own non-mutating rules pass (prune deferred to
-        # the combined df — search applies it) so the segment can never
-        # drift from the build semantics it mirrors
-        fpost, df = o.finalized_rules(prune_df1=False)
-        post: dict[str, tuple] = {}
-        for term, pl in fpost.items():
-            post[term] = (
-                np.array([p[0] for p in pl], np.int64),
-                np.array([p[4] for p in pl], np.int64),
-                np.array([p[1] for p in pl], np.int64),
-            )
-        seg_ts = {d: int(m[1]) for d, m in o.doc_meta.items()}
-        self._view = (post, df, seg_ts)
+    def _segment(self) -> _Segment:
+        """The segment as of the last add, built on the first search
+        after it WITHOUT mutating the accumulator (OracleIndex.finalize
+        is one-shot; NRT keeps accepting adds).  Only the dict rules
+        pass and the sorted (ids, ts) arrays are built here; a term's
+        postings are converted when a query first touches it
+        (``_term_contrib``).  Dict rules are applied segment-locally
+        except the df==1 prune, which must see the COMBINED df."""
+        if self._view is None:
+            o = self._raw
+            ids = np.fromiter(o.doc_ts.keys(), np.int64, len(o.doc_ts))
+            ts = np.fromiter(o.doc_ts.values(), np.int64, len(o.doc_ts))
+            order = np.argsort(ids)
+            # the oracle's own non-mutating rules pass (prune deferred to
+            # the combined df) so the segment can never drift from the
+            # build semantics it mirrors
+            self._view = _Segment(o.final_terms(prune_df1=False), {},
+                                  ids[order], ts[order])
         return self._view
+
+    def _term_contrib(self, term: str, seg: _Segment):
+        """(doc-sorted ids, idf * tf_norm) over base + segment for one
+        final term with the COMBINED corpus statistics, or None when a
+        rebuild would not index the term; cached in ``seg`` because N,
+        avgdl and df are constant until the next add."""
+        if term in seg.contrib:
+            return seg.contrib[term]
+        o, cfg = self._raw, self.base.cfg
+        orig = seg.terms.get(term)
+        df = self.base.df_map.get(term, 0) + (
+            o.df[orig] if orig is not None else 0)
+        out = None
+        ids, tfs, dls = [], [], []
+        # unknown everywhere, or the rebuild would df==1-prune
+        if df and not (cfg.prune_df1 and df < 2):
+            bp = self.base.postings(term)
+            if bp is not None and len(bp["doc_ids"]):
+                ids.append(bp["doc_ids"])
+                tfs.append(bp["tfs"])
+                dls.append(bp["dls"])
+            if orig is not None:
+                pl = o.sorted_postings(orig)
+                for parts, f in ((ids, 0), (tfs, 4), (dls, 1)):
+                    parts.append(np.fromiter((p[f] for p in pl), np.int64,
+                                             len(pl)))
+        if ids:
+            N = self.n_docs
+            avgdl = (self._base_sum_dl + o.sum_dl) / N
+            # tf_norm is elementwise, so one call over base+segment gives
+            # the per-posting values two separate calls would
+            c = math.log10(N / df) * tf_norm(
+                np.concatenate(tfs),
+                np.concatenate(dls).astype(np.float64),
+                avgdl, cfg.bm25_k1, cfg.bm25_b)
+            ids = np.concatenate(ids)
+            if len(tfs) == 2:
+                # base and segment are disjoint and each doc-sorted
+                order = np.argsort(ids, kind="stable")
+                ids, c = ids[order], c[order]
+            out = (ids, c)
+        seg.contrib[term] = out
+        return out
+
+    def _ts_of(self, doc_ids: np.ndarray) -> np.ndarray:
+        """ts per doc id: the segment's where it holds the doc, else the
+        base docmeta's."""
+        ts = self.base._ts_of(doc_ids)
+        seg = self._segment()
+        if len(seg.ids):
+            p = np.minimum(np.searchsorted(seg.ids, doc_ids),
+                           len(seg.ids) - 1)
+            ts = np.where(seg.ids[p] == doc_ids, seg.ts[p], ts)
+        return ts
 
     # ------------------------------------------------------------ search
     def search(self, query_text: str, k: int = 10, mode: str = "bm25"):
@@ -136,48 +205,27 @@ class NrtSearchEngine:
         query, _, _ = self.base.parser.parse_sentence(query_text)
         if not query:
             return []
-        post, seg_df, seg_ts = self._segment()
-        cfg = self.base.cfg
-        N = self.n_docs
-        sum_dl = self._base_sum_dl + self._raw.sum_dl
-        avgdl = sum_dl / N if N else 0.0
+        seg = self._segment()
         terms = list(dict.fromkeys(query))
-        self.base.prefetch([t for t in terms if t in self.base.df_map])
-        id_parts, contrib_parts = [], []
-        for t in terms:
-            df = self.base.df_map.get(t, 0) + seg_df.get(t, 0)
-            if df == 0 or (cfg.prune_df1 and df < 2):
-                # unknown everywhere, or the rebuild would df==1-prune
-                continue
-            idf = math.log10(N / df)
-            bp = self.base.postings(t)
-            if bp is not None and len(bp["doc_ids"]):
-                id_parts.append(bp["doc_ids"])
-                contrib_parts.append(idf * tf_norm(
-                    bp["tfs"], bp["dls"].astype(np.float64),
-                    avgdl, cfg.bm25_k1, cfg.bm25_b))
-            sp = post.get(t)
-            if sp is not None:
-                ids, tfs, dls = sp
-                id_parts.append(ids)
-                contrib_parts.append(idf * tf_norm(
-                    tfs, dls.astype(np.float64),
-                    avgdl, cfg.bm25_k1, cfg.bm25_b))
-        if not id_parts:
+        need = [t for t in terms if t not in seg.contrib]
+        if need:
+            # one batched posting read for the terms not yet scored this
+            # refresh (prefetch skips cached and unknown terms)
+            self.base.prefetch(need)
+        parts = [c for c in (self._term_contrib(t, seg) for t in terms)
+                 if c is not None]
+        if not parts:
             return []
-        ids = np.concatenate(id_parts)
-        contribs = np.concatenate(contrib_parts)
-        cand, inv = np.unique(ids, return_inverse=True)
-        scores = np.bincount(inv, weights=contribs, minlength=len(cand))
-        pos, found = self.base._meta_for(cand)
-        ts = self.base._meta["ts"][pos] * found
-        if seg_ts:
-            s_ids = np.fromiter(sorted(seg_ts), np.int64, len(seg_ts))
-            s_vals = np.array([seg_ts[int(i)] for i in s_ids], np.int64)
-            p2 = np.clip(np.searchsorted(s_ids, cand), 0, len(s_ids) - 1)
-            hit = s_ids[p2] == cand
-            ts = np.where(hit, s_vals[p2], ts)
-        return _topk_reference_order(scores, cand, ts, k)
+        if len(parts) == 1:
+            # single-term fast path: the ids are already sorted + unique
+            cand, scores = parts[0]
+        else:
+            ids = np.concatenate([p[0] for p in parts])
+            contribs = np.concatenate([p[1] for p in parts])
+            cand, inv = np.unique(ids, return_inverse=True)
+            scores = np.bincount(inv, weights=contribs,
+                                 minlength=len(cand))
+        return _topk_by_score(scores, cand, k, self._ts_of)
 
     # ------------------------------------------------------------- flush
     def flush(self, work_dir: str) -> str:

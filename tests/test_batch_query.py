@@ -125,3 +125,21 @@ def test_pool_serving_options_parity(ray_session, built_index):
                                                reversed(res)], (q, opts)
     finally:
         pool.shutdown()
+
+
+def test_engine_worker_rejects_tier_outside_bm25(built_index):
+    """Champion-list tiers are a BM25 strategy: a worker serving another
+    mode refuses ``tier`` instead of silently answering in tiered BM25."""
+    import pyarrow as pa
+
+    from search_engine_ray.query.batch import _EngineWorker
+
+    batch = pa.table({"query_id": pa.array([0], pa.int64()),
+                      "text": pa.array(["covid vaccine"], pa.string())})
+    with pytest.raises(ValueError, match="tier"):
+        _EngineWorker(built_index[0], 5, "reference")(batch, {"tier": 3})
+    # the bm25 worker still serves tiers, and the reference one plain
+    assert _EngineWorker(built_index[0], 5, "bm25")(
+        batch, {"tier": 3}).num_rows > 0
+    assert _EngineWorker(built_index[0], 5, "reference")(
+        batch).num_rows > 0

@@ -196,6 +196,18 @@ def test_search_quoted_tier_count(cli_index, capsys):
     capsys.readouterr()
 
 
+def test_search_quoted_rejects_fuzzy(cli_index, capsys):
+    """A typo inside quotes is never fuzzy-corrected, so --quoted with
+    --fuzzy is refused rather than silently returning no hits."""
+    with pytest.raises(SystemExit):
+        main(["search", cli_index, '"covvid vaccine"', "--quoted",
+              "--fuzzy"])
+    assert "--quoted and --fuzzy" in capsys.readouterr().err
+    # each flag alone still serves
+    assert main(["search", cli_index, "covvid", "--fuzzy"]) == 0
+    assert capsys.readouterr().out.strip()
+
+
 def test_fsck_cli(cli_index, capsys):
     rc = main(["fsck", cli_index])
     assert rc == 0

@@ -1716,6 +1716,87 @@ def test_nrt_equals_rebuild_exactly(nrt_setup):
     assert any(d in seg_ids for _s, d, _t in full)
 
 
+def _page_rows(table):
+    return list(zip(table.column("url").to_pylist(),
+                    [x.value for x in table.column("warc_ts")],
+                    table.column("text").to_pylist()))
+
+
+def test_nrt_refresh_caches_follow_every_add(nrt_setup):
+    """Per-refresh caches are dropped by every add: after each of four
+    batches the NRT answers equal an oracle built over base + everything
+    added so far (k = 1, 10 and the k=0 full list), a query repeated
+    inside one refresh answers the same from the cache, and a term first
+    seen in a later batch (searched, unknown, before it) is served."""
+    from search_engine_ray.config import EngineConfig
+    from search_engine_ray.fixtures import gen_pages, gen_queries
+    from search_engine_ray.oracle import OracleIndex
+    from search_engine_ray.query.nrt import NrtSearchEngine
+
+    _root, base_idx, _all_idx = nrt_setup
+    cfg = EngineConfig(tokenizer="simple", harvest_page_url=False,
+                       prune_df1=False)
+    rows = _page_rows(gen_pages(300))
+    new_term = "zyzzogeton"
+    batches = [_page_rows(gen_pages(20, start=300 + 20 * i))
+               for i in range(3)]
+    batches.append([("https://nrt.example/late/0", 1_600_000_000_000_000,
+                     f"{new_term} covid vaccine news"),
+                    ("https://nrt.example/late/1", 1_600_000_000_000_001,
+                     f"{new_term} {new_term} virus")])
+    queries = gen_queries() + [new_term, f"covid {new_term}"]
+    nrt = NrtSearchEngine(base_idx)
+    assert nrt.search(new_term, k=10) == []
+    for batch in batches:
+        assert nrt.add_pages(batch) == len(batch)
+        rows += batch
+        oracle = OracleIndex(cfg).build(rows)
+        for q in queries:
+            for k in (1, 10, 0):
+                got = nrt.search(q, k=k)
+                want = oracle.search(q, k=k, mode="bm25")
+                assert [(d, ts) for _, d, ts in got] \
+                    == [(d, ts) for _, d, ts in want], (q, k)
+                assert all(abs(a[0] - b[0]) < 1e-9
+                           for a, b in zip(got, want)), (q, k)
+                # the repeat is served from this refresh's cache
+                assert nrt.search(q, k=k) == got, (q, k)
+        # bit-identical to an engine that saw every page in one batch
+        # (nothing cached across refreshes)
+        fresh = NrtSearchEngine(base_idx)
+        fresh.add_pages(rows[300:])
+        for q in queries:
+            assert fresh.search(q, k=10) == nrt.search(q, k=10), q
+    late = nrt.search(new_term, k=10)
+    assert [d for _, d, _ in late] and all(
+        d in set(nrt._segment().ids) for _, d, _ in late)
+
+
+def test_oracle_lazy_glove_centroid_equals_eager_sum():
+    """The centroid computed on first use equals the sum of the doc's
+    distinct-term GloVe vectors over their count, built eagerly from an
+    independent parse of the page."""
+    import numpy as np
+
+    from search_engine_ray.fixtures import gen_pages
+    from search_engine_ray.glove import glove_vector
+    from search_engine_ray.ids import doc_id_for_url
+    from search_engine_ray.oracle import OracleIndex
+
+    rows = _page_rows(gen_pages(60))
+    oracle = OracleIndex().build(rows)
+    for url, _ts, text in rows[::7]:
+        parsed = oracle.parser.parse_page(url, text)
+        eager = np.zeros(oracle.config.glove_dim)
+        for term in parsed.term_tfs:
+            g = glove_vector(term)
+            if g is not None:
+                eager = eager + g
+        eager = eager / len(parsed.term_tfs)
+        assert np.array_equal(oracle.doc_vector(doc_id_for_url(url)),
+                              eager), url
+
+
 def test_nrt_empty_segment_equals_base(nrt_setup):
     from search_engine_ray.fixtures import gen_queries
     from search_engine_ray.query.engine import SearchEngine
@@ -2347,3 +2428,28 @@ def test_search_as_you_type_laws(built_index):
     assert eng.search_as_you_type("virus zzqx", k=5) == eng.search(
         "virus", k=5, mode="bm25")
     assert eng.search_as_you_type("zzqx", k=5) == []
+
+
+def test_search_as_you_type_prefix_range_equals_full_scan(built_index):
+    """The sorted-vocabulary prefix range gives exactly the completions
+    a scan of the whole dictionary gives, for every 1-3-char prefix of
+    the fixture vocabulary (and for prefixes sorting past its ends)."""
+    from search_engine_ray.query.engine import SearchEngine
+
+    eng = SearchEngine(built_index[0])
+    prefixes = {t[:n] for t in eng.df_map for n in (1, 2, 3)}
+    prefixes |= {"\x00", "\U0010ffff", "zzzz"}
+    for pre in sorted(prefixes):
+        want = sorted((t for t in eng.df_map if t.startswith(pre)),
+                      key=lambda t: (-eng.df_map[t], t))
+        got = eng._with_prefix(pre)
+        assert sorted(got) == sorted(want), pre
+        assert sorted(got, key=lambda t: (-eng.df_map[t], t))[:3] \
+            == want[:3], pre
+    # end to end: the last token expands to the full scan's top 3
+    for q in ("virus cov", "covid vacc", "peo", "zzqx"):
+        *head, pre = eng.parser.parse_sentence(q)[0]
+        top = sorted((t for t in eng.df_map if t.startswith(pre)),
+                     key=lambda t: (-eng.df_map[t], t))[:3]
+        assert eng.search_as_you_type(q, k=10) == eng._search_bm25_taat(
+            list(dict.fromkeys(head + (top or [pre]))), 10), q
