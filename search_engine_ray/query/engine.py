@@ -938,13 +938,11 @@ class SearchEngine:
     def _with_prefix(self, pre: str) -> list[str]:
         """Dictionary terms starting with ``pre``: one bisect into the
         sorted vocabulary (built on first use, so opening an engine does
-        not pay for it)."""
+        not pay for it), then a scan over the matches."""
         if self._terms_sorted is None:
             self._terms_sorted = sorted(self.df_map)
         terms = self._terms_sorted
-        lo = bisect.bisect_left(terms, pre)
-        hi = bisect.bisect_left(terms, pre + "\U0010ffff", lo)
-        # a term whose next char is U+10FFFF itself sorts past the bound
+        lo = hi = bisect.bisect_left(terms, pre)
         while hi < len(terms) and terms[hi].startswith(pre):
             hi += 1
         return terms[lo:hi]

@@ -25,11 +25,12 @@ lookup per batch) plus the parse and the accumulator's dict appends; no
 GloVe centroid is built (only the oracle's reference scorer reads one,
 on first use).  The first search after an add refreshes the segment: one
 dict-rules pass over the segment's terms and the sorted (doc id, ts)
-arrays, O(segment terms + segment docs), with no posting conversion.  A
-search converts and scores only the terms it touches: a term's combined
-base+segment (doc ids, idf * tf_norm) arrays are built once per refresh
-and cached, so the refresh caches hold only the terms queried since the
-last add.  Candidates are pruned by score before the ts gather, as in
+arrays, O(segment terms + segment docs), with no posting conversion; it
+is all a refresh keeps, so its state is bounded by the segment.  A
+search converts and scores only the terms it touches: each touched
+term's segment postings are converted and joined to its base postings
+(read through the engine's bounded posting cache) on every search.
+Candidates are pruned by score before the ts gather, as in
 ``SearchEngine``'s TAAT path.
 
 At cluster scale the segment is per-ingest-actor state (the same
@@ -55,7 +56,6 @@ from search_engine_ray.query.engine import SearchEngine, _topk_by_score
 class _Segment(NamedTuple):
     """One refresh of the segment, valid until the next add."""
     terms: dict          # final term -> orig accumulator term (rules pass)
-    contrib: dict        # final term -> (doc-sorted ids, idf*tf_norm) | None
     ids: np.ndarray      # segment doc ids, sorted
     ts: np.ndarray       # their ts, aligned with ``ids``
 
@@ -133,52 +133,41 @@ class NrtSearchEngine:
             # the oracle's own non-mutating rules pass (prune deferred to
             # the combined df) so the segment can never drift from the
             # build semantics it mirrors
-            self._view = _Segment(o.final_terms(prune_df1=False), {},
+            self._view = _Segment(o.final_terms(prune_df1=False),
                                   ids[order], ts[order])
         return self._view
 
     def _term_contrib(self, term: str, seg: _Segment):
-        """(doc-sorted ids, idf * tf_norm) over base + segment for one
-        final term with the COMBINED corpus statistics, or None when a
-        rebuild would not index the term; cached in ``seg`` because N,
-        avgdl and df are constant until the next add."""
-        if term in seg.contrib:
-            return seg.contrib[term]
+        """(ids, idf * tf_norm) over base + segment for one final term
+        with the COMBINED corpus statistics, or None when a rebuild would
+        not index the term."""
         o, cfg = self._raw, self.base.cfg
         orig = seg.terms.get(term)
         df = self.base.df_map.get(term, 0) + (
             o.df[orig] if orig is not None else 0)
-        out = None
-        ids, tfs, dls = [], [], []
         # unknown everywhere, or the rebuild would df==1-prune
-        if df and not (cfg.prune_df1 and df < 2):
-            bp = self.base.postings(term)
-            if bp is not None and len(bp["doc_ids"]):
-                ids.append(bp["doc_ids"])
-                tfs.append(bp["tfs"])
-                dls.append(bp["dls"])
-            if orig is not None:
-                pl = o.sorted_postings(orig)
-                for parts, f in ((ids, 0), (tfs, 4), (dls, 1)):
-                    parts.append(np.fromiter((p[f] for p in pl), np.int64,
-                                             len(pl)))
-        if ids:
-            N = self.n_docs
-            avgdl = (self._base_sum_dl + o.sum_dl) / N
-            # tf_norm is elementwise, so one call over base+segment gives
-            # the per-posting values two separate calls would
-            c = math.log10(N / df) * tf_norm(
-                np.concatenate(tfs),
-                np.concatenate(dls).astype(np.float64),
-                avgdl, cfg.bm25_k1, cfg.bm25_b)
-            ids = np.concatenate(ids)
-            if len(tfs) == 2:
-                # base and segment are disjoint and each doc-sorted
-                order = np.argsort(ids, kind="stable")
-                ids, c = ids[order], c[order]
-            out = (ids, c)
-        seg.contrib[term] = out
-        return out
+        if not df or (cfg.prune_df1 and df < 2):
+            return None
+        ids, tfs, dls = [], [], []
+        bp = self.base.postings(term)
+        if bp is not None and len(bp["doc_ids"]):
+            ids.append(bp["doc_ids"])
+            tfs.append(bp["tfs"])
+            dls.append(bp["dls"])
+        if orig is not None:
+            pl = o.sorted_postings(orig)
+            for parts, f in ((ids, 0), (tfs, 4), (dls, 1)):
+                parts.append(np.fromiter((p[f] for p in pl), np.int64,
+                                         len(pl)))
+        if not ids:
+            return None
+        N = self.n_docs
+        avgdl = (self._base_sum_dl + o.sum_dl) / N
+        # tf_norm is elementwise, so one call over base+segment gives the
+        # per-posting values two separate calls would
+        return np.concatenate(ids), math.log10(N / df) * tf_norm(
+            np.concatenate(tfs), np.concatenate(dls).astype(np.float64),
+            avgdl, cfg.bm25_k1, cfg.bm25_b)
 
     def _ts_of(self, doc_ids: np.ndarray) -> np.ndarray:
         """ts per doc id: the segment's where it holds the doc, else the
@@ -207,17 +196,16 @@ class NrtSearchEngine:
             return []
         seg = self._segment()
         terms = list(dict.fromkeys(query))
-        need = [t for t in terms if t not in seg.contrib]
-        if need:
-            # one batched posting read for the terms not yet scored this
-            # refresh (prefetch skips cached and unknown terms)
-            self.base.prefetch(need)
+        # one batched posting read (prefetch skips cached and unknown
+        # terms)
+        self.base.prefetch(terms)
         parts = [c for c in (self._term_contrib(t, seg) for t in terms)
                  if c is not None]
         if not parts:
             return []
         if len(parts) == 1:
-            # single-term fast path: the ids are already sorted + unique
+            # single-term fast path: the ids are unique (base and segment
+            # are disjoint and each lists a doc once)
             cand, scores = parts[0]
         else:
             ids = np.concatenate([p[0] for p in parts])

@@ -1711,7 +1711,7 @@ def test_nrt_equals_rebuild_exactly(nrt_setup):
     q = "covid vaccine"
     assert nrt.search(q, k=0) == rebuilt.search(q, k=0, mode="bm25")
     # segment docs are genuinely served (a seg-only doc can rank)
-    seg_ids = set(nrt._segment()[2])
+    seg_ids = set(nrt._segment().ids.tolist())
     full = nrt.search(q, k=0)
     assert any(d in seg_ids for _s, d, _t in full)
 
@@ -1723,11 +1723,12 @@ def _page_rows(table):
 
 
 def test_nrt_refresh_caches_follow_every_add(nrt_setup):
-    """Per-refresh caches are dropped by every add: after each of four
-    batches the NRT answers equal an oracle built over base + everything
-    added so far (k = 1, 10 and the k=0 full list), a query repeated
-    inside one refresh answers the same from the cache, and a term first
-    seen in a later batch (searched, unknown, before it) is served."""
+    """The per-refresh segment view is dropped by every add: after each
+    of four batches the NRT answers equal an oracle built over base +
+    everything added so far (k = 1, 10 and the k=0 full list), a query
+    repeated inside one refresh answers the same from the same view, and
+    a term first seen in a later batch (searched, unknown, before it) is
+    served."""
     from search_engine_ray.config import EngineConfig
     from search_engine_ray.fixtures import gen_pages, gen_queries
     from search_engine_ray.oracle import OracleIndex
@@ -1759,7 +1760,7 @@ def test_nrt_refresh_caches_follow_every_add(nrt_setup):
                     == [(d, ts) for _, d, ts in want], (q, k)
                 assert all(abs(a[0] - b[0]) < 1e-9
                            for a, b in zip(got, want)), (q, k)
-                # the repeat is served from this refresh's cache
+                # the repeat is served from this refresh's view
                 assert nrt.search(q, k=k) == got, (q, k)
         # bit-identical to an engine that saw every page in one batch
         # (nothing cached across refreshes)
