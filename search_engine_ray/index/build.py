@@ -729,21 +729,25 @@ class FinalizeBucket:
                  "df_global": pa.int64(), "n": pa.int64()}
         tbl = pa.table({k: pa.array(v, type=types.get(k, pa.binary()))
                         for k, v in out.items()})
-        # term-sorted rows => tight parquet row-group min/max stats =>
-        # query-side predicate pushdown skips row groups.
-        # INVARIANT the query engine's footer-stats bisect relies on
-        # (engine.py _read_term_groups): each posting file holds at most
-        # ONE row per term — true because every reduce partition is a
+        # term-sorted rows => tight parquet row-group min/max stats for
+        # readers that filter the Parquet files by term (the shard
+        # actors' dataset filter).
+        # INVARIANT the engine's postings sidecar relies on (engine.py
+        # _write_postings_sidecar): each posting file holds at most ONE
+        # row per term, so the sidecar's directory has one entry per
+        # (term, posting file), each entry's extents cover one doc
+        # shard's segment, and a term's entries sum to its df (fsck
+        # checks this) — true because every reduce partition is a
         # single shard of one tbucket and rewrite collisions were deduped
         # above.  Assert it so a future multi-row-per-term writer fails
-        # loudly at BUILD time instead of silently dropping postings at
+        # loudly at BUILD time instead of silently corrupting postings at
         # query time.
         terms = tbl.column("term").to_pylist()
         if len(terms) != len(set(terms)):
             raise AssertionError(
                 "FinalizeBucket produced duplicate term rows in one "
-                "partition — the query engine's one-row-per-term-per-"
-                "file row-group index would drop postings")
+                "partition — the engine's postings sidecar expects one "
+                "row per term per posting file")
         return tbl.sort_by("term")
 
 

@@ -217,7 +217,9 @@ def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
 
 def decode_postings(row: dict) -> dict:
     """Inverse of encode_postings over a finalized posting row (dict with
-    the binary fields).  Returns dict of numpy arrays."""
+    the binary fields).  Returns dict of numpy arrays.  ``n`` and the
+    doc-id/tf/dl/mtf streams are required; ``uniq_vb``, the ``blk_*``
+    fields and ``pos_vb`` are decoded only when the row carries them."""
     n = int(row["n"])
     deltas = varbyte_decode(row["docids_vb"], count=n)
     tfs = varbyte_decode(row["tf_vb"], count=n)
@@ -226,12 +228,13 @@ def decode_postings(row: dict) -> dict:
         "tfs": tfs,
         "dls": varbyte_decode(row["dl_vb"], count=n),
         "mtfs": varbyte_decode(row["mtf_vb"], count=n),
-        "uniqs": varbyte_decode(row["uniq_vb"], count=n),
-        "blk_last": np.frombuffer(row["blk_last"], dtype=np.int64),
-        "blk_max": np.frombuffer(row["blk_max"], dtype=np.float32),
-        "blk_doc_off": np.frombuffer(row["blk_doc_off"], dtype=np.int64),
-        "blk_tf_off": np.frombuffer(row["blk_tf_off"], dtype=np.int64),
     }
+    if "uniq_vb" in row:
+        out["uniqs"] = varbyte_decode(row["uniq_vb"], count=n)
+    for k, dt in (("blk_last", np.int64), ("blk_max", np.float32),
+                  ("blk_doc_off", np.int64), ("blk_tf_off", np.int64)):
+        if k in row:
+            out[k] = np.frombuffer(row[k], dtype=dt)
     if row.get("pos_vb"):
         pos, pos_off = decode_position_lists(row["pos_vb"], tfs)
         out["pos"] = pos

@@ -6,8 +6,9 @@ layout, the dictionary↔postings reconciliation on a deterministic term
 sample, per-term posting invariants (sorted unique doc ids, tf ≥ 1,
 tf ≤ dl, positions aligned with the tf stream), the docmeta row count
 and id uniqueness, and the manifest's corpus statistics against the
-docmeta stage.  Sampled checks read ONLY the row groups holding the
-sampled terms (the engine's own pruned prefetch); the docmeta pass
+docmeta stage.  Sampled checks read ONLY the sampled terms' postings
+through the engine's own cold path (the per-bucket postings sidecar,
+whose directory is also checked against the dictionary); the docmeta pass
 STREAMS per file with O(1) accumulators (global id uniqueness keeps
 ids only below a bounded cap, degrading to per-file uniqueness above
 it) — the driver never materializes a corpus-sized table, so the same
@@ -34,6 +35,45 @@ def _rows(out):
         "status": pa.array([r[1] for r in out], pa.string()),
         "detail": pa.array([r[2] for r in out], pa.string()),
     })
+
+
+def _check_postings_sidecar(out_dir: str, term_buckets: int,
+                            df_map: dict, pick: list[str], add) -> None:
+    """The sampled terms against each fresh postings sidecar (the
+    engine's cold-read layout, query/engine.py): every term has
+    directory entries, their extents lie inside the blob, and their
+    posting counts sum to the term's df.  Buckets without a sidecar
+    matching their current files are skipped."""
+    from search_engine_ray.ids import term_bucket
+    from search_engine_ray.query.engine import postings_sidecar_paths
+
+    by_bucket: dict[int, list[str]] = {}
+    for t in pick:
+        by_bucket.setdefault(term_bucket(t, term_buckets), []).append(t)
+    n_checked = n_missing = n_extent = n_df = 0
+    for b, ts in sorted(by_bucket.items()):
+        _, blob_p, dir_p = postings_sidecar_paths(out_dir, b)
+        if not os.path.exists(dir_p):
+            continue
+        d = np.load(dir_p)
+        size = os.path.getsize(blob_p)
+        keys = np.array([t.encode() for t in ts], dtype="S")
+        lo = np.searchsorted(d["term"], keys, "left")
+        hi = np.searchsorted(d["term"], keys, "right")
+        for t, a, z in zip(ts, lo.tolist(), hi.tolist()):
+            n_checked += 1
+            if z == a:
+                n_missing += 1
+                continue
+            off, ln = d["off"][a:z], d["len"][a:z]
+            if (off < 0).any() or (ln < 0).any() or (off + ln > size).any():
+                n_extent += 1
+            if int(d["n"][a:z].sum()) != df_map[t]:
+                n_df += 1
+    add("postings:sidecar", n_missing + n_extent + n_df == 0,
+        f"{n_checked} sampled terms in fresh sidecars: {n_missing} "
+        f"without entries, {n_extent} with extents outside the blob, "
+        f"{n_df} df mismatches")
 
 
 def check_index(out_dir: str, sample_terms: int = 64,
@@ -119,6 +159,12 @@ def check_index(out_dir: str, sample_terms: int = 64,
                     f"{n_pos_bad} lists with misaligned positions")
         except Exception as e:  # noqa: BLE001
             out.append(("postings:sample", "fail",
+                        f"{type(e).__name__}: {e}"))
+        try:
+            _check_postings_sidecar(out_dir, man["config"]["term_buckets"],
+                                    df_map, pick, add)
+        except Exception as e:  # noqa: BLE001
+            out.append(("postings:sidecar", "fail",
                         f"{type(e).__name__}: {e}"))
 
     # 5. docmeta: row count == manifest n_docs, ids unique — STREAMED

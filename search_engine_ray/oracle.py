@@ -58,7 +58,6 @@ class OracleIndex:
         # reference scorer reads it
         self.doc_terms: dict[int, tuple[str, ...]] = {}
         self._doc_vec: dict[int, np.ndarray] = {}
-        self.tokens_by_url: dict[str, list[str]] = {}
         self.n_docs = 0
         self.sum_dl = 0
 
@@ -86,7 +85,6 @@ class OracleIndex:
         return self._add_parsed(doc_id, str(doc_id), ts, parsed)
 
     def _add_parsed(self, doc_id, url, warc_ts_us, parsed) -> bool:
-        self.tokens_by_url[url] = parsed.tokens
         self.n_docs += 1
         self.sum_dl += parsed.doc_length
         for term, cap in parsed.capitals.items():

@@ -110,9 +110,7 @@ class QueryShardActor:
         if need:
             buckets = sorted({term_bucket(t, self.cfg.term_buckets)
                               for t in need})
-            keys = ["n", "docids_vb", "tf_vb", "dl_vb", "mtf_vb",
-                    "uniq_vb", "blk_last", "blk_max", "blk_doc_off",
-                    "blk_tf_off"]
+            keys = ["n", "docids_vb", "tf_vb", "dl_vb", "mtf_vb"]
             if self.cfg.positions and want_positions:
                 keys.append("pos_vb")
             t = self._postings_ds.to_table(

@@ -22,9 +22,17 @@ Two scorers over the same sharded index:
 Results are ``(score, doc_id, ts_us)`` ascending by (score, ts, id),
 last k — the reference's exact output order (ranker.py:46-63).
 
-Posting/doc-meta access: term-pruned parquet reads via pyarrow dataset
-filters, with a per-engine LRU-ish cache (the reference lazily caches
-loaded posting files the same way, searcher.py:39-51).  At cluster scale
+Posting/doc-meta access: postings by pointer.  The first engine that
+touches a term bucket derives a per-bucket sidecar under
+``<index>/cache/`` from the bucket's posting Parquet files: a flat blob
+of the varbyte streams and a term-sorted directory of (term, shard
+file, n, per-stream offset/length), holding only the capitals-collision
+winner's rows.  A cold term is then a ``searchsorted`` in the directory
+plus a slice of the memory-mapped blob, decoded into a per-engine
+posting cache (the reference finds a term's postings the same way,
+through ``inverted_idx``'s term -> posting-file pointer and a lazily
+filled cache, searcher.py:39-51).  Doc metadata comes from a sorted
+memory-mapped docmeta sidecar in the same directory.  At cluster scale
 the same index layout is served by per-shard actors; this in-process
 reader is the single-node instantiation.
 """
@@ -42,7 +50,7 @@ import pyarrow.dataset as pads
 from search_engine_ray.config import EngineConfig
 from search_engine_ray.glove import GloveCache
 from search_engine_ray.index import manifest as mf
-from search_engine_ray.index.encoding import decode_postings, tf_norm
+from search_engine_ray.index.encoding import tf_norm
 from search_engine_ray.text.parser import Parser
 
 
@@ -97,7 +105,6 @@ def _write_sidecar(out_dir: str, ds, glove_dim: int, *,
     maps a complete file.  The glove matrix (glove_dim × 8 bytes/doc) is
     a separate file so BM25/WAND workers never fault those pages in."""
     import json
-    import tempfile
 
     cache, ids_p, ts_p, glove_p, meta_p = _sidecar_paths(out_dir)
     os.makedirs(cache, exist_ok=True)
@@ -119,26 +126,189 @@ def _write_sidecar(out_dir: str, ds, glove_dim: int, *,
                 .to_numpy(zero_copy_only=False)
             ).reshape(len(raw_ids), glove_dim)[order]
 
-    def _atomic_save(path: str, arr: np.ndarray) -> None:
-        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".npy.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, arr)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    _atomic_save(ids_p, ids)
-    _atomic_save(ts_p, ts)
+    _atomic_write(ids_p, lambda fh: np.save(fh, ids))
+    _atomic_write(ts_p, lambda fh: np.save(fh, ts))
     if with_glove:
-        _atomic_save(glove_p, glove)
-    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".json.tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump({"fingerprint": fp, "glove": bool(with_glove),
-                   "n_docs": int(len(ids))}, fh)
-    os.replace(tmp, meta_p)
+        _atomic_write(glove_p, lambda fh: np.save(fh, glove))
+    _atomic_write(meta_p, lambda fh: fh.write(json.dumps(
+        {"fingerprint": fp, "glove": bool(with_glove),
+         "n_docs": int(len(ids))}).encode()))
+
+
+def _atomic_write(path: str, write) -> None:
+    """``write(fh)`` into a temp file beside ``path``, then rename it
+    over ``path``: a reader sees the old file or the whole new one."""
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+# ------------------------------------------------------ postings sidecar
+# Per final term bucket: ``postings-b<bucket>-<fp>.blob`` holds, for each
+# posting file in turn, the concatenated docids/tf/dl/mtf (+pos) varbyte
+# streams; ``postings-b<bucket>-<fp>.dir.npy`` is the directory: one
+# entry per (term, posting file) row, sorted by term, with the row's n
+# and each stream's offset and length in the blob.  ``fp`` fingerprints
+# the bucket's posting files and the dictionary files, so a rebuilt
+# index gets new names.
+
+_SIDECAR_FORMAT = b"postings-sidecar-1"
+
+
+def postings_sidecar_paths(out_dir: str, bucket: int):
+    """(posting files of ``bucket``, blob path, directory path) for the
+    index as it is on disk now.  The fingerprint in the names covers
+    the bucket's posting files and the dictionary files (name, size,
+    mtime): the dictionary decides the capitals-collision winner whose
+    rows the sidecar keeps."""
+    import hashlib
+
+    h = hashlib.sha1(_SIDECAR_FORMAT)
+    files = []
+    for sub in (os.path.join("postings", f"tbucket={bucket}"), "dict"):
+        try:
+            with os.scandir(os.path.join(out_dir, sub)) as it:
+                found = sorted((e.name, e.path, e.stat()) for e in it
+                               if e.name.endswith(".parquet"))
+        except FileNotFoundError:
+            found = []
+        for name, path, st in found:
+            h.update(f"|{sub}/{name}:{st.st_size}:{st.st_mtime_ns}"
+                     .encode())
+        if sub != "dict":
+            files = [path for _, path, _ in found]
+    stem = os.path.join(out_dir, "cache",
+                        f"postings-b{bucket}-{h.hexdigest()[:16]}")
+    return files, stem + ".blob", stem + ".dir.npy"
+
+
+def _binary_values(col) -> tuple[np.ndarray, memoryview]:
+    """(value offsets rebased to 0, concatenated value bytes) of a
+    binary Arrow column, without a Python object per value."""
+    import pyarrow as pa
+
+    a = col.combine_chunks()
+    wide = pa.types.is_large_binary(a.type)
+    _, offs, data = a.buffers()
+    off = np.frombuffer(offs, dtype=np.int64 if wide else np.int32)[
+        a.offset:a.offset + len(a) + 1].astype(np.int64)
+    if data is None:
+        return off - off[0], memoryview(b"")
+    return off - off[0], memoryview(data)[int(off[0]):int(off[-1])]
+
+
+def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
+                            winners: dict, positions: bool) -> None:
+    """Write one bucket's blob and directory from its posting files.
+    Only the dictionary's winning orig term keeps entries for a final
+    term that several orig terms rewrite to (``winners``, from
+    ``load_df_and_orig``).  One posting file is in memory at a time.
+    Both files go through temp + ``os.replace`` and the directory lands
+    last, so a reader that finds the directory finds its blob; racing
+    writers of the same fingerprint write identical bytes."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    streams = ("docids_vb", "tf_vb", "dl_vb", "mtf_vb") + (
+        ("pos_vb",) if positions else ())
+    os.makedirs(os.path.dirname(blob_p), exist_ok=True)
+    terms, file_ix, ns, offs, lens = [], [], [], [], []
+
+    def write_blob(fh) -> None:
+        pos = 0
+        for fi, f in enumerate(files):
+            t = pq.read_table(f, columns=["term", "orig", "n", *streams])
+            if winners:
+                keep = [winners.get(x, o) == o for x, o in zip(
+                    t.column("term").to_pylist(),
+                    t.column("orig").to_pylist())]
+                t = t.filter(pa.array(keep, pa.bool_()))
+            if t.num_rows == 0:
+                continue
+            o = np.empty((t.num_rows, len(streams)), np.int64)
+            ln = np.empty_like(o)
+            for k, s in enumerate(streams):
+                rel, data = _binary_values(t.column(s))
+                o[:, k] = pos + rel[:-1]
+                ln[:, k] = np.diff(rel)
+                fh.write(data)
+                pos += len(data)
+            offs.append(o)
+            lens.append(ln)
+            terms.append(t.column("term").cast(pa.binary())
+                         .to_numpy(zero_copy_only=False))
+            file_ix.append(np.full(t.num_rows, fi, np.int32))
+            ns.append(t.column("n").to_numpy())
+
+    _atomic_write(blob_p, write_blob)
+    S, N = len(streams), sum(len(x) for x in terms)
+    term_arr = np.array(np.concatenate(terms) if N else [], dtype="S")
+    order = np.argsort(term_arr, kind="stable")
+    # one 0-d record whose fields are whole columns, so every column is
+    # contiguous in the file: a reader maps it and bisects the term
+    # column, touching only the pages it probes
+    d = np.zeros((), dtype=[
+        ("term", term_arr.dtype, (N,)), ("file", np.int32, (N,)),
+        ("n", np.int64, (N,)), ("off", np.int64, (N, S)),
+        ("len", np.int64, (N, S))])
+    if N:
+        d["term"] = term_arr[order]
+        d["file"] = np.concatenate(file_ix)[order]
+        d["n"] = np.concatenate(ns)[order]
+        d["off"] = np.concatenate(offs)[order]
+        d["len"] = np.concatenate(lens)[order]
+    _atomic_write(dir_p, lambda fh: np.save(fh, d))
+    # drop this bucket's sidecars of earlier builds (best effort: a
+    # reader that already mapped one keeps its pages)
+    cache = os.path.dirname(blob_p)
+    stem = os.path.basename(blob_p).rsplit("-", 1)[0] + "-"
+    for name in os.listdir(cache):
+        p = os.path.join(cache, name)
+        if (name.startswith(stem) and p not in (blob_p, dir_p)
+                and name.endswith((".blob", ".dir.npy"))):
+            try:
+                os.unlink(p)
+            except OSError:
+                pass
+
+
+class _BucketPostings:
+    """One bucket's postings sidecar, opened: the directory's columns and
+    the blob, both mapped read-only."""
+
+    __slots__ = ("terms", "n", "off", "len", "blob", "_blob_p")
+
+    def __init__(self, dir_p: str, blob_p: str):
+        import mmap
+
+        d = np.load(dir_p, mmap_mode="r").view(np.ndarray)
+        self.terms, self.n = d["term"], d["n"]
+        self.off, self.len = d["off"], d["len"]
+        self._blob_p = blob_p
+        with open(blob_p, "rb") as fh:
+            self.blob = (np.frombuffer(mmap.mmap(
+                fh.fileno(), 0, access=mmap.ACCESS_READ), dtype=np.uint8)
+                if os.fstat(fh.fileno()).st_size else np.zeros(0, np.uint8))
+
+    def stream(self, a: int, z: int, k: int) -> np.ndarray:
+        """Stream ``k`` of directory entries ``a:z``, concatenated."""
+        parts = []
+        for o, n in zip(self.off[a:z, k].tolist(),
+                        self.len[a:z, k].tolist()):
+            if o < 0 or o + n > len(self.blob):
+                raise RuntimeError(
+                    f"postings sidecar {self._blob_p} is shorter than its "
+                    "directory; delete it to rebuild")
+            parts.append(self.blob[o:o + n])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 _POS_M = np.int64(1) << np.int64(32)  # (cand, pos) key packing bound
@@ -257,9 +427,9 @@ class SearchEngine:
             raw_tokens=self.cfg.raw_tokens)
         self.glove = GloveCache(self.cfg.glove_path, self.cfg.glove_dim)
 
-        import os
-
-        self.df_map, self._caps_orig = mf.load_df_and_orig(out_dir)
+        # the collision winners are read only when this engine writes a
+        # bucket's postings sidecar
+        self.df_map, self._orig_winner = mf.load_df_and_orig(out_dir)
 
         def _maybe_dataset(stage):
             # a stage dir may hold zero parquet files (e.g. every term
@@ -274,14 +444,11 @@ class SearchEngine:
                 return ds
             return None
 
-        import os
-
-        self._build_postings_rg_index(mf.stage_dir(out_dir, "postings"))
+        self._buckets: dict[int, _BucketPostings | None] = {}
         self._pcache: dict[str, dict | None] = {}
         self._pcache_max_terms = 100_000  # FIFO eviction bound
         self._fuzzy = None  # lazy ops/fulltext.FuzzyCorrector
         self._terms_sorted = None  # lazy sorted vocabulary (prefixes)
-        self._io_pool = None  # lazy posting-read thread pool
 
         self._docmeta_ds = _maybe_dataset("docmeta")
         self._out_dir = out_dir
@@ -326,198 +493,90 @@ class SearchEngine:
         self._meta_glove = np.load(glove_p, mmap_mode="r")
 
     # ---------------------------------------------------------- postings
-    def _build_postings_rg_index(self, pdir: str) -> None:
-        """Footer-stats row-group index: term -> exact (file, row_group)
-        in O(log) via per-file min/max term statistics.  Files are
-        term-sorted with 128-row groups, so a term lives in at most ONE
-        row group per file; evaluating a dataset filter against every
-        fragment instead costs ~15-25ms PER QUERY at a few hundred files
-        (measured), which dominated cold-query p95.  Footers live on the
-        same store as the data; reading them once at init is the
-        classic 'open the index segment' step."""
-        import glob as _glob
-        import os
-
-        import pyarrow.parquet as pq
-
-        self._bucket_files: dict[int, list[str]] = {}
-        self._rg_stats: dict[str, tuple[list, list]] = {}
-        self._pq_handles: dict[str, pq.ParquetFile] = {}
-        for f in sorted(_glob.glob(os.path.join(pdir, "**", "*.parquet"),
-                                   recursive=True)):
-            tb = int(os.path.basename(os.path.dirname(f)).split("=", 1)[1])
-            pf = pq.ParquetFile(f)
-            self._pq_handles[f] = pf   # reuse at query time (footer
-            md = pf.metadata           # is already parsed here)
-            term_idx = md.schema.to_arrow_schema().names.index("term")
-            mins, maxs = [], []
-            ok = True
-            for r in range(md.num_row_groups):
-                st = md.row_group(r).column(term_idx).statistics
-                if st is None or st.min is None:
-                    ok = False
-                    break
-                mins.append(st.min)
-                maxs.append(st.max)
-            self._bucket_files.setdefault(tb, []).append(f)
-            # stats-less footer (foreign writer): mark for full-file scan
-            self._rg_stats[f] = (mins, maxs) if ok else (None, None)
-
-    def _read_term_groups(self, need: list[str]):
-        """Concatenated posting rows for ``need`` from exactly the row
-        groups whose [min,max] term range can contain them."""
-        import bisect
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        cols = ["term", "orig", "n", "docids_vb", "tf_vb", "dl_vb",
-                "mtf_vb"]
-        if self.cfg.positions:
-            cols.append("pos_vb")
-        from search_engine_ray.ids import term_bucket
-
-        hits: dict[str, set[int]] = {}
-        for t in need:
-            tb = term_bucket(t, self.cfg.term_buckets)
-            for f in self._bucket_files.get(tb, ()):
-                mins, maxs = self._rg_stats[f]
-                if mins is None:
-                    hits.setdefault(f, set()).update(
-                        range(self._handle(f).metadata.num_row_groups))
-                    continue
-                r = bisect.bisect_right(mins, t) - 1
-                if r >= 0 and maxs[r] >= t:
-                    hits.setdefault(f, set()).add(r)
-                    # parquet writers may TRUNCATE long string min stats
-                    # (stored min <= true min), so a term that sorts at
-                    # or past group r's stored min could really live in
-                    # an EARLIER group — and a run of consecutive
-                    # truncated mins can push the true group several
-                    # steps left.  Stored MAX stats truncate UPWARD
-                    # (stored >= true), so walking left while
-                    # `maxs[r'] >= t` visits every group that can
-                    # contain t; with exact stats the walk stops after
-                    # zero or one step, and extra groups only cost a
-                    # coalesced read, never a wrong answer (the is_in
-                    # filter below is exact)
-                    rr = r - 1
-                    while rr >= 0 and maxs[rr] >= t:
-                        hits[f].add(rr)
-                        rr -= 1
-        # ONE coalesced read per file (read_row_groups merges adjacent
-        # groups into a single IO plan), and the per-file reads run on a
-        # small thread pool — pyarrow releases the GIL, and a multi-term
-        # cold query touches num_shards files per term, serially ~1 ms
-        # each (measured 46 ms for a 5-term query at 64 files)
-        items = [(f, sorted(rgs)) for f, rgs in hits.items()]
-        if len(items) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            if self._io_pool is None:
-                self._io_pool = ThreadPoolExecutor(max_workers=8)
-            parts = list(self._io_pool.map(
-                lambda it: self._handle(it[0]).read_row_groups(
-                    it[1], columns=cols), items))
-        else:
-            parts = [self._handle(f).read_row_groups(rgs, columns=cols)
-                     for f, rgs in items]
-        if not parts:
-            return None
-        import pyarrow.compute as pc
-
-        t = pa.concat_tables(parts)
-        return t.filter(pc.is_in(t.column("term"),
-                                 value_set=pa.array(need, pa.string())))
-
-    def _handle(self, f: str):
-        import pyarrow.parquet as pq
-
-        h = self._pq_handles.get(f)
-        if h is None:
-            h = pq.ParquetFile(f)
-            self._pq_handles[f] = h
-        return h
+    def _bucket(self, b: int) -> "_BucketPostings | None":
+        """Term bucket ``b``'s postings sidecar, written first when the
+        index has none matching its current files; None for a bucket
+        without posting files."""
+        if b not in self._buckets:
+            files, blob_p, dir_p = postings_sidecar_paths(self._out_dir, b)
+            side = None
+            if files:
+                if not os.path.exists(dir_p):
+                    _write_postings_sidecar(files, blob_p, dir_p,
+                                            self._orig_winner,
+                                            self.cfg.positions)
+                side = _BucketPostings(dir_p, blob_p)
+            self._buckets[b] = side
+        return self._buckets[b]
 
     def prefetch(self, terms) -> None:
-        """Load postings for all uncached dictionary terms in ONE pass
-        over exactly the row groups that can hold them (the reference's
-        same-file prefetch generalized, searcher.py:47-51)."""
+        """Load postings for all uncached dictionary terms: per term
+        bucket, one ``searchsorted`` of the terms in the sidecar
+        directory, then each term's stream slices out of the mapped
+        blob (the reference's same-file prefetch generalized,
+        searcher.py:47-51)."""
         need = [t for t in dict.fromkeys(terms)
                 if t not in self._pcache and t in self.df_map]
         if not need:
             return
+        from search_engine_ray.ids import term_bucket
+
+        by_bucket: dict[int, list[str]] = {}
+        for t in need:
+            by_bucket.setdefault(
+                term_bucket(t, self.cfg.term_buckets), []).append(t)
+        for b, ts in by_bucket.items():
+            side = self._bucket(b)
+            if side is None:
+                for t in ts:
+                    self._pcache[t] = None
+                continue
+            keys = np.array([t.encode() for t in ts], dtype="S")
+            lo = np.searchsorted(side.terms, keys, "left").tolist()
+            hi = np.searchsorted(side.terms, keys, "right").tolist()
+            for term, a, z in zip(ts, lo, hi):
+                while len(self._pcache) >= self._pcache_max_terms:
+                    self._pcache.pop(next(iter(self._pcache)))  # FIFO
+                self._pcache[term] = (self._decode_entries(side, a, z)
+                                      if z > a else None)
+
+    def _decode_entries(self, side: "_BucketPostings", a: int,
+                        z: int) -> dict:
+        """One term's cache entry from its directory entries ``a:z``
+        (one per posting file, i.e. per doc shard)."""
         from search_engine_ray.index.encoding import varbyte_decode
 
-        t = self._read_term_groups(need)
-        if t is None:
-            for x in need:
-                self._pcache[x] = None
-            return
-        by_term: dict[str, list] = {x: [] for x in need}
-        term_col = t.column("term").to_pylist()
-        orig_col = t.column("orig").to_pylist()
-        cols = {k: t.column(k).to_pylist()
-                for k in (("n", "docids_vb", "tf_vb", "dl_vb", "mtf_vb",
-                           "pos_vb") if self.cfg.positions else
-                          ("n", "docids_vb", "tf_vb", "dl_vb", "mtf_vb"))}
-        for i, term in enumerate(term_col):
-            by_term[term].append(i)
-        for term, idxs in by_term.items():
-            if not idxs:
-                self._pcache[term] = None
-                continue
-            # capitals-rewrite collisions produce rows for the SAME final
-            # term from DIFFERENT orig terms (separate reduce tasks /
-            # files, possibly separate tbuckets); the dictionary keeps
-            # only the lexicographically greatest orig (load_df_and_orig,
-            # mirroring reference indexer.py:161-166) — serve exactly
-            # that orig's rows (a legit orig still spans several
-            # doc-shard rows)
-            win = self._caps_orig.get(term)
-            if win is not None:
-                idxs = [i for i in idxs if orig_col[i] == win]
-                if not idxs:
-                    self._pcache[term] = None
-                    continue
-            # decode each stream ONCE over the concatenated shard buffers
-            # (not per shard row) — delta resets at shard-run starts are
-            # undone with a per-segment cumsum-offset correction
-            ns = np.array([cols["n"][i] for i in idxs], dtype=np.int64)
-            total = int(ns.sum())
-            deltas = varbyte_decode(
-                b"".join(cols["docids_vb"][i] for i in idxs), count=total)
-            cs = np.cumsum(deltas)
-            seg_starts = np.zeros(len(ns), dtype=np.int64)
-            np.cumsum(ns[:-1], out=seg_starts[1:])
-            base = np.zeros(len(ns), dtype=np.int64)
-            base[1:] = cs[seg_starts[1:] - 1]
-            ids = cs - np.repeat(base, ns)
-            tfs = varbyte_decode(
-                b"".join(cols["tf_vb"][i] for i in idxs), count=total)
-            dls = varbyte_decode(
-                b"".join(cols["dl_vb"][i] for i in idxs), count=total)
-            order = np.argsort(ids, kind="stable")
-            while len(self._pcache) >= self._pcache_max_terms:
-                self._pcache.pop(next(iter(self._pcache)))  # FIFO evict
-            # mtf is only read by the reference-mode scorer — keep the
-            # raw bytes and decode on first use (cuts 25% off the cold
-            # bm25 decode bill)
-            self._pcache[term] = {
-                "doc_ids": ids[order],
-                "tfs": tfs[order],
-                "dls": dls[order],
-                "mtfs": None,
-                "_mtf_raw": (b"".join(cols["mtf_vb"][i] for i in idxs),
-                             total, order),
-            }
-            if self.cfg.positions:
-                # positions decode lazily too (only phrase/proximity
-                # queries pay): raw concatenated sublist stream + the
-                # pre-sort tf counts + the doc-sort permutation
-                self._pcache[term]["pos"] = None
-                self._pcache[term]["_pos_raw"] = (
-                    b"".join(cols["pos_vb"][i] for i in idxs), tfs, order)
+        # decode each stream ONCE over the concatenated shard buffers
+        # (not per shard row) — delta resets at shard-run starts are
+        # undone with a per-segment cumsum-offset correction
+        ns = side.n[a:z]
+        total = int(ns.sum())
+        cs = np.cumsum(varbyte_decode(side.stream(a, z, 0), count=total))
+        seg_starts = np.zeros(len(ns), dtype=np.int64)
+        np.cumsum(ns[:-1], out=seg_starts[1:])
+        base = np.zeros(len(ns), dtype=np.int64)
+        base[1:] = cs[seg_starts[1:] - 1]
+        ids = cs - np.repeat(base, ns)
+        tfs = varbyte_decode(side.stream(a, z, 1), count=total)
+        dls = varbyte_decode(side.stream(a, z, 2), count=total)
+        order = np.argsort(ids, kind="stable")
+        # mtf is only read by the reference-mode scorer — keep the raw
+        # bytes and decode on first use (cuts 25% off the cold bm25
+        # decode bill)
+        entry = {
+            "doc_ids": ids[order],
+            "tfs": tfs[order],
+            "dls": dls[order],
+            "mtfs": None,
+            "_mtf_raw": (side.stream(a, z, 3), total, order),
+        }
+        if self.cfg.positions:
+            # positions decode lazily too (only phrase/proximity queries
+            # pay): raw concatenated sublist stream + the pre-sort tf
+            # counts + the doc-sort permutation
+            entry["pos"] = None
+            entry["_pos_raw"] = (side.stream(a, z, 4), tfs, order)
+        return entry
 
     @staticmethod
     def _mtfs_of(p: dict) -> np.ndarray:
