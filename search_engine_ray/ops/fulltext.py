@@ -149,9 +149,9 @@ def best_one_edit(terms: list[str], df_lookup, q: str) -> str | None:
 
 class FuzzyCorrector:
     """Memoizing did-you-mean corrector over an engine dictionary —
-    the ONE implementation behind SearchEngine.fuzzy_correct and
-    DistributedSearchEngine.fuzzy_correct (a change to the correction
-    rule cannot diverge between them).
+    the ONE implementation behind SearchEngine.fuzzy_correct, which the
+    distributed engine's shard actors run too (a change to the
+    correction rule cannot diverge between them).
 
     The dictionary is immutable per engine, so terms are bucketed by
     CHARACTER length once; a one-edit neighbor differs in length by at

@@ -4154,6 +4154,11 @@ def q_search_tiered(sf_dir: str, k: int = 10):
          for qid, q in _CLEAN_SEARCH_QUERIES), idmap)
 
 
+# the champ CTE orders by (tf desc, doc_id asc) while the engine's
+# champion rule (engine.champion_order) is (tf desc, ts asc, doc_id asc):
+# doc_id ASC stands in for ts ASC only because the adapter maps
+# warc_ts = BASE + doc_id seconds, so ts order IS original-doc-id order
+# here (same mapping as _TS_WINDOW_IDS)
 SQL_SEARCH_TIERED = f"""
 WITH {_BM25_CORE_CTES},
 qterms(query_id, term) AS (VALUES {{QTERMS}}),

@@ -6,8 +6,10 @@ line (/root/reference/search_engine.py:121-132); ``write_to_csv`` dumps
 
 ``search_many`` runs a query set against the distributed shard-actor
 engine with all per-query fan-outs in flight at once (pipeline
-parallelism across queries as well as shards), merging each query's
-shard top-ks with the reference tie-break.
+parallelism across queries as well as shards): every query goes to
+every actor as the same ``search`` call, and each query's shard top-ks
+merge with the reference tie-break.  ``BatchQueryPool`` partitions the
+queries instead, each worker holding one unrestricted engine.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 
 import ray
+
+from search_engine_ray.query.distributed import merge_ranked
 
 
 def read_queries_file(path: str) -> list[str]:
@@ -33,29 +37,13 @@ def search_many(dist_engine, queries: list[str], k: int = 10,
     """All queries x all shard actors submitted before any result is
     awaited; returns (query_id, rank, doc_id, score, warc_ts) with rank 1
     = best."""
-    futures = []
-    for qi, qtext in enumerate(queries):
-        q, _, _ = dist_engine.parser.parse_sentence(qtext)
-        if not q:
-            futures.append(None)
-            continue
-        # ship BOTH small maps, exactly like DistributedSearchEngine.
-        # search — omitting caps_orig makes _postings keep every
-        # capitals-collision variant's rows (not just the global
-        # winner's) AND poisons the actor's _pcache for later queries
-        df_small, orig_small = dist_engine._ship_maps(q)
-        futures.append([a.search_local.remote(q, k, mode, df_small,
-                                              orig_small)
-                        for a in dist_engine.actors])
+    futures = [[a.search.remote(q, k, mode) for a in dist_engine.actors]
+               for q in queries]
     rows = {"query_id": [], "rank": [], "doc_id": [], "score": [],
             "warc_ts": []}
     for qi, futs in enumerate(futures):
-        if futs is None:
-            continue
-        merged = [t for part in ray.get(futs) for t in part]
-        merged.sort(key=lambda t: (t[0], t[1], t[2]))  # (score, ts, id)
-        top = merged[-k:] if k <= len(merged) else merged
-        for rank, (score, ts, doc_id) in enumerate(reversed(top), start=1):
+        top = merge_ranked(ray.get(futs), k)
+        for rank, (score, doc_id, ts) in enumerate(reversed(top), start=1):
             rows["query_id"].append(qi)
             rows["rank"].append(rank)
             rows["doc_id"].append(doc_id)

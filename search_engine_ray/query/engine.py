@@ -13,11 +13,11 @@ Two scorers over the same sharded index:
   term-at-a-time vectorized accumulation.
 - ``mode="bm25_wand"`` — same scores via block-max WAND (Ding & Suel's
   published BMW algorithm) over merged per-term streams with block
-  bounds recomputed on the merged arrays; rank-identical to ``bm25``
-  (property-tested).  On zipf-headed corpora with short queries the
-  block maxima are flat and skipping rarely fires, so vectorized TAAT
-  is the faster default; the on-disk per-shard block metadata serves
-  skip-decode at per-shard serving scale.
+  bounds recomputed on the merged arrays at query time; rank-identical
+  to ``bm25`` (property-tested).  On zipf-headed corpora with short
+  queries the block maxima are flat and skipping rarely fires, so
+  vectorized TAAT is the faster default.  The ``blk_*`` columns the
+  build writes into each posting row are not read by any reader.
 
 Results are ``(score, doc_id, ts_us)`` ascending by (score, ts, id),
 last k — the reference's exact output order (ranker.py:46-63).
@@ -26,15 +26,22 @@ Posting/doc-meta access: postings by pointer.  The first engine that
 touches a term bucket derives a per-bucket sidecar under
 ``<index>/cache/`` from the bucket's posting Parquet files: a flat blob
 of the varbyte streams and a term-sorted directory of (term, shard
-file, n, per-stream offset/length), holding only the capitals-collision
-winner's rows.  A cold term is then a ``searchsorted`` in the directory
-plus a slice of the memory-mapped blob, decoded into a per-engine
-posting cache (the reference finds a term's postings the same way,
-through ``inverted_idx``'s term -> posting-file pointer and a lazily
-filled cache, searcher.py:39-51).  Doc metadata comes from a sorted
-memory-mapped docmeta sidecar in the same directory.  At cluster scale
-the same index layout is served by per-shard actors; this in-process
-reader is the single-node instantiation.
+file, doc shard, n, per-stream offset/length), holding only the
+capitals-collision winner's rows.  A cold term is then a
+``searchsorted`` in the directory plus a slice of the memory-mapped
+blob, decoded into a per-engine posting cache (the reference finds a
+term's postings the same way, through ``inverted_idx``'s term ->
+posting-file pointer and a lazily filled cache, searcher.py:39-51).
+Doc metadata comes from a sorted memory-mapped docmeta sidecar in the
+same directory.
+
+``SearchEngine(out_dir, shards=[...])`` keeps only those doc shards'
+directory entries when it reads; the dictionary, corpus stats and
+docmeta stay global.  A doc's postings live wholly in its shard, so
+engines over a shard partition score every doc exactly as one
+unrestricted engine does: the distributed engine (distributed.py) runs
+one per shard actor and only merges their answers.  All of them share
+the same ``<index>/cache/`` files.
 """
 
 from __future__ import annotations
@@ -155,12 +162,13 @@ def _atomic_write(path: str, write) -> None:
 # Per final term bucket: ``postings-b<bucket>-<fp>.blob`` holds, for each
 # posting file in turn, the concatenated docids/tf/dl/mtf (+pos) varbyte
 # streams; ``postings-b<bucket>-<fp>.dir.npy`` is the directory: one
-# entry per (term, posting file) row, sorted by term, with the row's n
-# and each stream's offset and length in the blob.  ``fp`` fingerprints
-# the bucket's posting files and the dictionary files, so a rebuilt
-# index gets new names.
+# entry per (term, posting file) row, sorted by term, with the row's doc
+# shard, n and each stream's offset and length in the blob.  ``fp``
+# fingerprints the format, the bucket's posting files and the dictionary
+# files, so a rebuilt index (or a sidecar written in an older format)
+# gets new names.
 
-_SIDECAR_FORMAT = b"postings-sidecar-1"
+_SIDECAR_FORMAT = b"postings-sidecar-2"
 
 
 def postings_sidecar_paths(out_dir: str, bucket: int):
@@ -220,12 +228,13 @@ def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
     streams = ("docids_vb", "tf_vb", "dl_vb", "mtf_vb") + (
         ("pos_vb",) if positions else ())
     os.makedirs(os.path.dirname(blob_p), exist_ok=True)
-    terms, file_ix, ns, offs, lens = [], [], [], [], []
+    terms, file_ix, shards, ns, offs, lens = [], [], [], [], [], []
 
     def write_blob(fh) -> None:
         pos = 0
         for fi, f in enumerate(files):
-            t = pq.read_table(f, columns=["term", "orig", "n", *streams])
+            t = pq.read_table(f, columns=["term", "orig", "shard", "n",
+                                          *streams])
             if winners:
                 keep = [winners.get(x, o) == o for x, o in zip(
                     t.column("term").to_pylist(),
@@ -246,6 +255,7 @@ def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
             terms.append(t.column("term").cast(pa.binary())
                          .to_numpy(zero_copy_only=False))
             file_ix.append(np.full(t.num_rows, fi, np.int32))
+            shards.append(t.column("shard").to_numpy())
             ns.append(t.column("n").to_numpy())
 
     _atomic_write(blob_p, write_blob)
@@ -257,11 +267,12 @@ def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
     # column, touching only the pages it probes
     d = np.zeros((), dtype=[
         ("term", term_arr.dtype, (N,)), ("file", np.int32, (N,)),
-        ("n", np.int64, (N,)), ("off", np.int64, (N, S)),
-        ("len", np.int64, (N, S))])
+        ("shard", np.int32, (N,)), ("n", np.int64, (N,)),
+        ("off", np.int64, (N, S)), ("len", np.int64, (N, S))])
     if N:
         d["term"] = term_arr[order]
         d["file"] = np.concatenate(file_ix)[order]
+        d["shard"] = np.concatenate(shards)[order]
         d["n"] = np.concatenate(ns)[order]
         d["off"] = np.concatenate(offs)[order]
         d["len"] = np.concatenate(lens)[order]
@@ -284,13 +295,13 @@ class _BucketPostings:
     """One bucket's postings sidecar, opened: the directory's columns and
     the blob, both mapped read-only."""
 
-    __slots__ = ("terms", "n", "off", "len", "blob", "_blob_p")
+    __slots__ = ("terms", "shard", "n", "off", "len", "blob", "_blob_p")
 
     def __init__(self, dir_p: str, blob_p: str):
         import mmap
 
         d = np.load(dir_p, mmap_mode="r").view(np.ndarray)
-        self.terms, self.n = d["term"], d["n"]
+        self.terms, self.shard, self.n = d["term"], d["shard"], d["n"]
         self.off, self.len = d["off"], d["len"]
         self._blob_p = blob_p
         with open(blob_p, "rb") as fh:
@@ -298,11 +309,12 @@ class _BucketPostings:
                 fh.fileno(), 0, access=mmap.ACCESS_READ), dtype=np.uint8)
                 if os.fstat(fh.fileno()).st_size else np.zeros(0, np.uint8))
 
-    def stream(self, a: int, z: int, k: int) -> np.ndarray:
-        """Stream ``k`` of directory entries ``a:z``, concatenated."""
+    def stream(self, sel, k: int) -> np.ndarray:
+        """Stream ``k`` of the directory entries ``sel`` (a slice or an
+        index array), concatenated."""
         parts = []
-        for o, n in zip(self.off[a:z, k].tolist(),
-                        self.len[a:z, k].tolist()):
+        for o, n in zip(self.off[sel, k].tolist(),
+                        self.len[sel, k].tolist()):
             if o < 0 or o + n > len(self.blob):
                 raise RuntimeError(
                     f"postings sidecar {self._blob_p} is shorter than its "
@@ -335,8 +347,7 @@ def phrase_from_postings(byterm: dict, cand: np.ndarray,
     """Sorted doc ids of ``cand`` containing the exact sequence
     ``terms``; each byterm[t] must carry doc_ids + decoded positions.
     One searchsorted membership pass per phrase slot over packed
-    (candidate, position) keys.  Shared by the in-process engine and the
-    shard actors (doc-sharding keeps phrase evaluation shard-local)."""
+    (candidate, position) keys."""
     if len(cand) == 0:
         return cand
     keycache: dict[str, np.ndarray] = {}
@@ -394,6 +405,15 @@ def intersect_candidates(plists: list[np.ndarray]) -> np.ndarray:
     return cand
 
 
+def champion_order(ids: np.ndarray, tfs: np.ndarray, ts: np.ndarray,
+                   m: int) -> np.ndarray:
+    """Indices of the top-``m`` postings by (tf desc, ts asc — oldest
+    doc wins ties; doc ids are url hashes, so hash order would be an
+    arbitrary rule no mirror could reproduce — then doc id asc): the
+    champion rule of tiered retrieval."""
+    return np.lexsort((ids, ts, -tfs))[:m]
+
+
 def warm_docmeta_sidecar(out_dir: str, *, with_glove: bool = False) -> None:
     """Build the docmeta sidecar once (no-op when fresh) WITHOUT
     constructing an engine — call from a driver before spawning a worker
@@ -416,8 +436,16 @@ def warm_docmeta_sidecar(out_dir: str, *, with_glove: bool = False) -> None:
 
 
 class SearchEngine:
-    def __init__(self, out_dir: str, *, preload_docmeta: bool = False):
+    def __init__(self, out_dir: str, *, preload_docmeta: bool = False,
+                 shards=None):
+        """``shards`` restricts the engine to those doc shards' postings
+        (default: all).  Everything global stays global — the
+        dictionary, corpus stats and docmeta — so a restricted engine
+        scores its docs exactly as the unrestricted one does, and
+        engines over a shard partition answer disjoint slices of the
+        same result (the distributed engine's shard actors)."""
         man = mf.read_manifest(out_dir)
+        self.shards = None if shards is None else sorted(set(shards))
         self.cfg = EngineConfig(**man["config"])
         self.n_docs = man["n_docs"]
         self.avg_dl = man["avg_doc_length"]
@@ -467,9 +495,9 @@ class SearchEngine:
     # flaw: _load_docmeta materialized ids+ts+glove as private numpy in
     # EVERY worker).  BM25/WAND touch only the ids/ts pages their
     # candidates hit; the 8x-larger glove matrix is a separate file
-    # mapped only by the reference-mode scorer.  At cluster scale the
-    # same layout is per-shard state inside QueryShardActor
-    # (distributed.py) — this sidecar is the single-node instantiation.
+    # mapped only by the reference-mode scorer.  Shard-restricted
+    # engines (the distributed engine's actors) map the same global
+    # sidecar and only ever gather their own candidates' rows.
 
     def _ensure_meta(self):
         if self._meta is not None:
@@ -512,9 +540,9 @@ class SearchEngine:
     def prefetch(self, terms) -> None:
         """Load postings for all uncached dictionary terms: per term
         bucket, one ``searchsorted`` of the terms in the sidecar
-        directory, then each term's stream slices out of the mapped
-        blob (the reference's same-file prefetch generalized,
-        searcher.py:47-51)."""
+        directory, then each term's stream slices (of this engine's
+        shards) out of the mapped blob (the reference's same-file
+        prefetch generalized, searcher.py:47-51)."""
         need = [t for t in dict.fromkeys(terms)
                 if t not in self._pcache and t in self.df_map]
         if not need:
@@ -535,30 +563,38 @@ class SearchEngine:
             lo = np.searchsorted(side.terms, keys, "left").tolist()
             hi = np.searchsorted(side.terms, keys, "right").tolist()
             for term, a, z in zip(ts, lo, hi):
+                sel = slice(a, z)
+                if self.shards is not None:
+                    # a term has one entry per doc shard: keep this
+                    # engine's shards only
+                    sel = a + np.flatnonzero(
+                        np.isin(side.shard[a:z], self.shards))
                 while len(self._pcache) >= self._pcache_max_terms:
                     self._pcache.pop(next(iter(self._pcache)))  # FIFO
-                self._pcache[term] = (self._decode_entries(side, a, z)
-                                      if z > a else None)
+                self._pcache[term] = self._decode_entries(side, sel)
 
-    def _decode_entries(self, side: "_BucketPostings", a: int,
-                        z: int) -> dict:
-        """One term's cache entry from its directory entries ``a:z``
-        (one per posting file, i.e. per doc shard)."""
+    def _decode_entries(self, side: "_BucketPostings",
+                        sel) -> dict | None:
+        """One term's cache entry from its directory entries ``sel`` (a
+        slice or an index array; one entry per posting file, i.e. per
+        doc shard); None when ``sel`` is empty."""
         from search_engine_ray.index.encoding import varbyte_decode
 
+        ns = side.n[sel]
+        if len(ns) == 0:
+            return None
         # decode each stream ONCE over the concatenated shard buffers
         # (not per shard row) — delta resets at shard-run starts are
         # undone with a per-segment cumsum-offset correction
-        ns = side.n[a:z]
         total = int(ns.sum())
-        cs = np.cumsum(varbyte_decode(side.stream(a, z, 0), count=total))
+        cs = np.cumsum(varbyte_decode(side.stream(sel, 0), count=total))
         seg_starts = np.zeros(len(ns), dtype=np.int64)
         np.cumsum(ns[:-1], out=seg_starts[1:])
         base = np.zeros(len(ns), dtype=np.int64)
         base[1:] = cs[seg_starts[1:] - 1]
         ids = cs - np.repeat(base, ns)
-        tfs = varbyte_decode(side.stream(a, z, 1), count=total)
-        dls = varbyte_decode(side.stream(a, z, 2), count=total)
+        tfs = varbyte_decode(side.stream(sel, 1), count=total)
+        dls = varbyte_decode(side.stream(sel, 2), count=total)
         order = np.argsort(ids, kind="stable")
         # mtf is only read by the reference-mode scorer — keep the raw
         # bytes and decode on first use (cuts 25% off the cold bm25
@@ -568,14 +604,14 @@ class SearchEngine:
             "tfs": tfs[order],
             "dls": dls[order],
             "mtfs": None,
-            "_mtf_raw": (side.stream(a, z, 3), total, order),
+            "_mtf_raw": (side.stream(sel, 3), total, order),
         }
         if self.cfg.positions:
             # positions decode lazily too (only phrase/proximity queries
             # pay): raw concatenated sublist stream + the pre-sort tf
             # counts + the doc-sort permutation
             entry["pos"] = None
-            entry["_pos_raw"] = (side.stream(a, z, 4), tfs, order)
+            entry["_pos_raw"] = (side.stream(sel, 4), tfs, order)
         return entry
 
     @staticmethod
@@ -662,7 +698,8 @@ class SearchEngine:
 
     def postings(self, term: str) -> dict | None:
         """Merged cross-shard postings for one (final) term, sorted by
-        doc_id; None if the term is not in the dictionary."""
+        doc_id; None if the term is not in the dictionary or has no
+        postings in this engine's shards."""
         if term not in self._pcache:
             self.prefetch([term])
         return self._pcache.get(term)
@@ -960,16 +997,19 @@ class SearchEngine:
             return []
         terms = list(dict.fromkeys(query))
         self.prefetch(terms)
-        known = [t for t in terms if self.postings(t) is not None]
-        if not known:
+        # knownness and the drive set come from the GLOBAL dictionary: a
+        # shard-restricted engine without postings for a rare term must
+        # not widen its drive set to the head terms
+        known = [t for t in terms if t in self.df_map]
+        drive = self._low_df_terms(known, df_den) or known
+        lists = [p["doc_ids"] for p in map(self.postings, drive)
+                 if p is not None]
+        if not lists:
             return []
-        low = self._low_df_terms(known, df_den)
-        drive = low or known
-        cand = np.unique(np.concatenate(
-            [self.postings(t)["doc_ids"] for t in drive]))
         # candidate-restricted scoring IS the TAAT scorer's must= gate —
         # one canonical accumulation path (bit-identical float order)
-        return self._search_bm25_taat(terms, k, must=cand)
+        return self._search_bm25_taat(terms, k,
+                                      must=np.unique(np.concatenate(lists)))
 
     def search_as_you_type(self, query_text: str, k: int = 10,
                            max_expansions: int = 3):
@@ -1024,14 +1064,14 @@ class SearchEngine:
                  if self.postings(t) is not None]
         plain = (len(np.unique(np.concatenate(lists))) if lists else 0)
         # candidate sets directly (no scoring): champions + drive union
-        champ = [self._champion_ids(self.postings(t), m)
+        champ = [self._champions(self.postings(t), m)[0]
                  for t in terms if self.postings(t) is not None]
         tiered = (len(np.unique(np.concatenate(champ))) if champ else 0)
-        known = [t for t in terms if self.postings(t) is not None]
-        drive = self._low_df_terms(known, df_den) or known
-        rare = (len(np.unique(np.concatenate(
-            [self.postings(t)["doc_ids"] for t in drive])))
-            if drive else 0)
+        known = [t for t in terms if t in self.df_map]
+        drive = [p["doc_ids"] for p in map(
+            self.postings, self._low_df_terms(known, df_den) or known)
+            if p is not None]
+        rare = len(np.unique(np.concatenate(drive))) if drive else 0
         return {"plain": int(plain), "tiered": int(tiered),
                 "rare_first": int(rare)}
 
@@ -1057,22 +1097,20 @@ class SearchEngine:
                  if len(lists) == len(terms) else 0)
         return {"n_or": int(n_or), "n_and": int(n_and)}
 
-    def _champion_ids(self, p: dict, m: int) -> np.ndarray:
-        """The term's sorted champion prefix: top-m postings by (tf
-        desc, ts asc — oldest doc wins ties; doc ids are url hashes, so
-        hash order would be an arbitrary rule no mirror could
-        reproduce), memoized per (term, m) in the posting cache entry.
-        ONE copy of the rule, shared by search_tiered and
-        candidate_stats — a production index would persist this prefix
-        at build time (impact-ordered posting heads)."""
-        ids = p["doc_ids"]
-        if len(ids) <= m:
-            return ids
+    def _champions(self, p: dict, m: int):
+        """The term's champion prefix as (doc ids, tfs, ts) in
+        ``champion_order``, memoized per (term, m) in the posting cache
+        entry.  ONE copy of the rule, shared by search_tiered,
+        tier_champions and candidate_stats — a production index would
+        persist this prefix at build time (impact-ordered posting
+        heads)."""
         bym = p.setdefault("champ", {})
         got = bym.get(m)
         if got is None:
-            order = np.lexsort((ids, self._ts_of(ids), -p["tfs"]))[:m]
-            got = bym[m] = np.sort(ids[order])
+            ids, tfs = p["doc_ids"], p["tfs"]
+            ts = self._ts_of(ids)
+            o = champion_order(ids, tfs, ts, m)
+            got = bym[m] = (ids[o], tfs[o], ts[o])
         return got
 
     def _low_df_terms(self, known: list, df_den: int) -> list:
@@ -1101,34 +1139,29 @@ class SearchEngine:
             return []
         if k == 0:
             k = max(self.n_docs, 1)
-        query, _, _ = self.parser.parse_sentence(query_text)
-        if not query:
+        terms, champs = self.tier_champions(query_text, m, fuzzy)
+        if not champs:
             return []
+        cand = np.unique(np.concatenate([c[0] for c in champs.values()]))
+        return self._search_bm25_taat(terms, k, must=cand)
+
+    def tier_champions(self, query_text: str, m: int,
+                       fuzzy: bool = False):
+        """Round 1 of tiered retrieval: the distinct parsed (and, with
+        ``fuzzy``, corrected) query terms, and ``{term: (doc ids, tfs,
+        ts)}`` — the champion prefix of every term with postings.  The
+        global champion prefix of a term is inside the union of the
+        prefixes of engines over a shard partition, so re-selecting
+        with ``champion_order`` over that union is exact."""
+        query, _, _ = self.parser.parse_sentence(query_text)
         if fuzzy:
             query = [t if t in self.df_map
                      else (self.fuzzy_correct(t) or t) for t in query]
         terms = list(dict.fromkeys(query))
         self.prefetch(terms)
-        champ = []
-        for t in terms:
-            p = self.postings(t)
-            if p is None:
-                continue
-            champ.append(self._champion_ids(p, m))
-        if not champ:
-            return []
-        cand = np.unique(np.concatenate(champ))
-        scores = np.zeros(len(cand), np.float64)
-        for t in terms:
-            pc_ = self._bm25_contrib(t)
-            if pc_ is None:
-                continue
-            ids, c = pc_
-            pos = np.searchsorted(cand, ids)
-            pos_c = np.minimum(pos, len(cand) - 1)
-            hit = cand[pos_c] == ids
-            np.add.at(scores, pos_c[hit], c[hit])
-        return _topk_by_score(scores, cand, k, self._ts_of)
+        return terms, {t: self._champions(p, m) for t, p in
+                       zip(terms, map(self.postings, terms))
+                       if p is not None}
 
     def _idf(self, term: str) -> float:
         df = self.df_map.get(term)
@@ -1172,8 +1205,12 @@ class SearchEngine:
         pos_count = {t: 0 for t in uniq_terms}
         for t in query:
             pos_count[t] += 1
+        # knownness is the GLOBAL dictionary's, not local posting
+        # presence: a shard-restricted engine without postings for a
+        # known term must still give it its true query tf, or the query
+        # vector's norm (and so wcos) drifts from the unrestricted engine
         qtf = np.array([
-            (pos_count[t] if plists.get(t) is not None else 1) / Q
+            (pos_count[t] if t in self.df_map else 1) / Q
             for t in query
         ])
 
@@ -1486,9 +1523,7 @@ def expand_synonyms(query: list[str],
     """Pure query rewrite for query-time synonym expansion: original
     terms pass through UNTOUCHED (duplicates included — reference mode
     weights them); each alternate is inserted once, after its first
-    term, unless it already occurs anywhere in the query.  Shared by
-    the in-process and distributed engines so the rewrite cannot
-    diverge."""
+    term, unless it already occurs anywhere in the query."""
     present = set(query)
     expanded: list[str] = []
     for t in query:

@@ -28,14 +28,19 @@ def test_meta_positions_found_mask():
     zero its ts/glove) instead of borrowing a neighbor's row."""
     import numpy as np
 
-    from search_engine_ray.query.distributed import meta_positions
+    from search_engine_ray.query.engine import SearchEngine
+
+    def meta_for(meta_ids, doc_ids):
+        eng = SearchEngine.__new__(SearchEngine)  # docmeta only
+        eng._meta = {"ids": meta_ids, "ts": np.zeros(len(meta_ids))}
+        return eng._meta_for(doc_ids)
 
     ids = np.array([10, 20, 30], dtype=np.int64)
-    pos, found = meta_positions(ids, np.array([5, 20, 25, 40]))
+    pos, found = meta_for(ids, np.array([5, 20, 25, 40]))
     assert found.tolist() == [False, True, False, False]
     assert ids[pos[1]] == 20
     # empty docmeta: nothing found, no crash
-    pos, found = meta_positions(np.zeros(0, np.int64), np.array([1, 2]))
+    pos, found = meta_for(np.zeros(0, np.int64), np.array([1, 2]))
     assert found.tolist() == [False, False]
     assert pos.tolist() == [0, 0]
 
@@ -163,3 +168,118 @@ def test_distributed_common_terms_matches_inprocess(dist_engine, engine):
         assert [(d, ts) for _, d, ts in a] == [(d, ts) for _, d, ts in b], q
         for (sa, _, _), (sb, _, _) in zip(a, b):
             assert abs(sa - sb) < 1e-9, q
+
+
+@pytest.fixture(scope="module")
+def pos_index4(ray_session, tmp_path_factory):
+    """A positional 4-shard index, so phrase gates run in the
+    differential test below."""
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.config import EngineConfig
+    from search_engine_ray.fixtures import gen_pages
+    from search_engine_ray.index.build import build_index
+
+    data = tmp_path_factory.mktemp("pos4_pages")
+    pq.write_table(gen_pages(300, seed=5), str(data / "pages.parquet"))
+    out = str(tmp_path_factory.mktemp("pos4_index"))
+    build_index(str(data), out, EngineConfig(
+        num_shards=4, term_buckets=4, positions=True, parser_concurrency=2))
+    return out
+
+
+def _random_calls(eng, seed: int, per_cell: int = 4):
+    """Seeded (query, k, mode, options) draws: every mode x k cell gets
+    ``per_cell`` random queries (fixture queries or random dictionary
+    words), bm25 draws a random subset of its serving options."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    fixture = gen_queries()
+    vocab = sorted(eng.df_map)
+    eng._ensure_meta()
+    ts_all = np.asarray(eng._meta["ts"])
+
+    def query():
+        if rng.random() < 0.5:
+            return fixture[rng.integers(len(fixture))]
+        words = [vocab[i] for i in rng.integers(0, len(vocab),
+                                                 rng.integers(1, 5))]
+        if rng.random() < 0.3:
+            words.append("zzzunseen")
+        return " ".join(words)
+
+    for mode in ("bm25", "reference", "bool_and", "bool_or"):
+        for k in (0, 1, 10):
+            for _ in range(per_cell):
+                q = query()
+                terms = eng.parser.parse_sentence(q)[0] or ["covid"]
+                kw = {}
+                if rng.random() < 0.3:
+                    kw["fuzzy"] = True
+                if rng.random() < 0.3:
+                    kw["synonyms"] = {terms[0]: [
+                        vocab[rng.integers(len(vocab))]]}
+                if mode == "bm25":
+                    if rng.random() < 0.4 and len(ts_all):
+                        lo, hi = np.sort(rng.choice(ts_all, 2))
+                        kw["ts_range"] = (int(lo), int(hi))
+                    if rng.random() < 0.4:
+                        kw["boosts"] = {terms[-1]: float(
+                            rng.choice([0.5, 2.0, 3.0]))}
+                    if rng.random() < 0.4:
+                        kw["phrases"] = ([" ".join(terms[:2])]
+                                         if rng.random() < 0.5
+                                         else [terms[-2:]])
+                    if rng.random() < 0.4:
+                        full = eng.search(q, k=0, mode="bm25", **kw)
+                        if full:
+                            kw["search_after"] = full[
+                                rng.integers(len(full))]
+                yield q, k, mode, kw
+
+
+@pytest.mark.parametrize("num_actors", [1, 3])
+def test_randomized_differential_inprocess_vs_distributed(pos_index4,
+                                                          num_actors):
+    """Seeded random queries x modes x bm25 option combinations x k:
+    the shard actors' merged answer equals the in-process engine's,
+    exactly (same floats, same order)."""
+    from search_engine_ray.query.distributed import DistributedSearchEngine
+    from search_engine_ray.query.engine import SearchEngine
+
+    eng = SearchEngine(pos_index4)
+    dist = DistributedSearchEngine(pos_index4, num_actors=num_actors)
+    assert len(dist.actors) == num_actors
+    n = 0
+    for q, k, mode, kw in _random_calls(eng, seed=num_actors):
+        want = eng.search(q, k=k, mode=mode, **kw)
+        got = dist.search(q, k=k, mode=mode, **kw)
+        assert got == want, (q, k, mode, kw)
+        n += bool(want)
+    assert n >= 10  # the draws are not all empty answers
+
+
+def test_rare_first_drive_set_is_global(pos_index4):
+    """A shard without postings for a query's rare term must not widen
+    its rare-first drive set to the head terms: knownness is the global
+    dictionary's, so every shard gates on the same drive terms."""
+    from search_engine_ray.query.distributed import DistributedSearchEngine
+    from search_engine_ray.query.engine import SearchEngine
+
+    eng = SearchEngine(pos_index4)
+    dist = DistributedSearchEngine(pos_index4, num_actors=3)
+    by_df = sorted((t for t in eng.df_map
+                    if eng.parser.parse_sentence(t)[0] == [t]),
+                   key=lambda t: (eng.df_map[t], t))
+    heads = by_df[-40:]
+    for rare in by_df[:6]:
+        for head in heads[::8]:
+            q = f"{rare} {head}"
+            # the smallest df_den that leaves the head term high-df, so
+            # the rare term alone drives
+            den = -(-eng.n_docs // eng.df_map[head])
+            assert eng.df_map[rare] * den < eng.n_docs
+            want = eng.search_common_terms(q, k=10, df_den=den)
+            assert dist.search_common_terms(q, k=10, df_den=den) == want, q
+            assert 0 < len(want) <= eng.df_map[rare], q

@@ -216,3 +216,80 @@ def test_fsck_checks_sidecar_against_dictionary(pos_index, tmp_path):
     d["len"][-1, 0] += 1 << 30  # an extent past the end of the blob
     np.save(dir_p, d)
     assert status(idx)["postings:sidecar"] == "fail"
+
+
+def test_restricted_engines_partition_postings(pos_index):
+    """Engines restricted to the shards of a partition serve disjoint
+    postings whose union is the unrestricted engine's, capitals-
+    collision term included; each holds only its own shards' docs."""
+    from search_engine_ray.query.engine import SearchEngine
+
+    idx, _ = pos_index
+    full = SearchEngine(idx)
+    S = full.cfg.num_shards
+    parts = [SearchEngine(idx, shards=[s]) for s in range(S)]
+    rng = np.random.default_rng(0)
+    vocab = sorted(full.df_map)
+    sample = [vocab[i] for i in rng.choice(len(vocab), 150, replace=False)]
+    for t in sample + ["STRASSE"]:
+        want = full.postings(t)
+        got = {s: e.postings(t) for s, e in enumerate(parts)}
+        ids = np.concatenate([p["doc_ids"] for p in got.values()
+                              if p is not None])
+        assert len(np.unique(ids)) == len(ids), t  # disjoint
+        assert np.sort(ids).tolist() == want["doc_ids"].tolist(), t
+        for s, p in got.items():
+            if p is not None:
+                assert (p["doc_ids"] % S == s).all(), (t, s)
+                pos = np.searchsorted(want["doc_ids"], p["doc_ids"])
+                assert p["tfs"].tolist() == want["tfs"][pos].tolist(), t
+    # a term with no postings in a shard is None there, not empty
+    assert any(e.postings("STRASSE") is None for e in parts) or S == 1
+
+
+def test_sidecar_of_older_format_is_not_read(pos_index, tmp_path,
+                                             monkeypatch):
+    """A postings sidecar in the previous format (a directory without
+    the per-entry shard column) left in cache/ has another fingerprinted
+    name: engines derive the current format instead of reading it."""
+    from search_engine_ray.query import engine as engine_mod
+    from search_engine_ray.query.engine import SearchEngine
+
+    src, t = pos_index
+    idx = str(tmp_path / "idx")
+    shutil.copytree(src, idx)
+    for f in _sidecar_files(idx):
+        os.unlink(f)
+    queries = _queries([t], seed=9)
+    want = [SearchEngine(src).search(q, k=10, mode="bm25")
+            for q in queries]
+
+    nb = SearchEngine(idx).cfg.term_buckets
+    monkeypatch.setattr(engine_mod, "_SIDECAR_FORMAT",
+                        b"postings-sidecar-1")
+    old = [engine_mod.postings_sidecar_paths(idx, b)[1:]
+           for b in range(nb)]
+    monkeypatch.undo()
+    full = SearchEngine(idx)
+    for b, (blob_p, dir_p) in enumerate(old):
+        # the old directory layout, every extent pointing at junk
+        terms = full._bucket(b).terms
+        N = len(terms)
+        d = np.zeros((), dtype=[
+            ("term", terms.dtype, (N,)), ("file", np.int32, (N,)),
+            ("n", np.int64, (N,)), ("off", np.int64, (N, 5)),
+            ("len", np.int64, (N, 5))])
+        d["term"], d["n"], d["len"] = terms, 1, 1
+        np.save(dir_p, d)
+        with open(blob_p, "wb") as fh:
+            fh.write(b"\xff" * 64)
+    for f in _sidecar_files(idx):
+        if f not in {p for pair in old for p in pair}:
+            os.unlink(f)
+
+    eng = SearchEngine(idx)
+    for q, w in zip(queries, want):
+        assert eng.search(q, k=10, mode="bm25") == w, q
+    new = _sidecar_files(idx)
+    assert len(new) == 2 * nb
+    assert not set(new) & {p for pair in old for p in pair}

@@ -234,18 +234,17 @@ def test_capitals_collision_across_buckets_matches_oracle(
         b = [(round(s, 9), d) for s, d, _ in o.search(q, k=5,
                                                       mode="bm25")]
         assert a == b, q
-    # distributed read path applies the same max-orig rule per shard
+    # the shard actors apply the same max-orig rule per shard
     import ray
 
+    from search_engine_ray.index import manifest as mf
+
+    assert mf.load_df_and_orig(str(tmp_path / "idx"))[1] == {
+        "STRASSE": "straße"}
     dist = DistributedSearchEngine(str(tmp_path / "idx"), num_actors=2)
-    df_small = {"STRASSE": eng.df_map["STRASSE"]}
-    assert dist._caps_orig == {"STRASSE": "straße"}
-    parts = ray.get([a._postings.remote(["STRASSE"], df_small,
-                                        dist._caps_orig)
-                     for a in dist.actors])
+    parts = ray.get([a.postings.remote("STRASSE") for a in dist.actors])
     got = []
-    for part in parts:
-        pp = part.get("STRASSE")
+    for pp in parts:
         if pp is not None:
             got.extend(int(x) for x in pp["doc_ids"])
     assert sorted(got) == oracle_ids
