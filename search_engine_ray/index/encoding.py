@@ -9,7 +9,10 @@ each (shard, term) posting list as columnar byte streams:
 - tf / doc_length / max_tf / unique_terms: varbyte streams;
 - block-max metadata every ``block_size`` postings: last doc id, max
   BM25 tf-norm (idf excluded — applied at query time), and byte offsets
-  into the doc-id and tf streams so block-max WAND can skip decode.
+  into the doc-id and tf streams.  No reader uses it: the query engine
+  serves postings from a sidecar decoded once per index
+  (query/engine.py), and its block-max WAND recomputes block bounds on
+  the decoded arrays.
 
 All encode/decode paths are numpy-vectorized (no per-value Python loops;
 the inner loops below run at most ceil(64/7)=10 iterations of whole-array
@@ -52,8 +55,9 @@ def varbyte_encode(values: np.ndarray) -> tuple[bytes, np.ndarray]:
 def varbyte_decode(buf: bytes, offset: int = 0, count: int = -1) -> np.ndarray:
     """Decode `count` values starting at byte `offset` (-1 = all).
 
-    Hot path of every cold posting read: per extra byte width the loop
-    gathers only the values that HAVE that byte (integer indexing on a
+    Runs in the build's bucket finalizer, in the engine's once-per-index
+    sidecar derivation and on lazy position reads: per extra byte width
+    the loop gathers only the values that HAVE that byte (integer indexing on a
     shrinking index set), instead of boolean-scanning the whole byte
     stream per width — ~8x faster on 1-2-byte-dominated tf/delta
     streams (measured 3.0 -> 0.35 ms on a 40k-value stream)."""

@@ -8,7 +8,8 @@ tf ≤ dl, positions aligned with the tf stream), the docmeta row count
 and id uniqueness, and the manifest's corpus statistics against the
 docmeta stage.  Sampled checks read ONLY the sampled terms' postings
 through the engine's own cold path (the per-bucket postings sidecar,
-whose directory is also checked against the dictionary); the docmeta pass
+whose directory is also checked against the dictionary, and whose
+fixed-width streams against their counts and doc shards); the docmeta pass
 STREAMS per file with O(1) accumulators (global id uniqueness keeps
 ids only below a bounded cap, degrading to per-file uniqueness above
 it) — the driver never materializes a corpus-sized table, so the same
@@ -37,43 +38,64 @@ def _rows(out):
     })
 
 
-def _check_postings_sidecar(out_dir: str, term_buckets: int,
-                            df_map: dict, pick: list[str], add) -> None:
+def _check_postings_sidecar(out_dir: str, cfg: dict, df_map: dict,
+                            pick: list[str], add) -> None:
     """The sampled terms against each fresh postings sidecar (the
     engine's cold-read layout, query/engine.py): every term has
-    directory entries, their extents lie inside the blob, and their
-    posting counts sum to the term's df.  Buckets without a sidecar
-    matching their current files are skipped."""
+    directory entries, their extents lie inside the blob, their posting
+    counts sum to the term's df, each fixed-width stream is ``n``
+    values long, and each entry's doc ids strictly increase and belong
+    to the entry's doc shard.  Buckets without a sidecar matching their
+    current files are skipped."""
     from search_engine_ray.ids import term_bucket
-    from search_engine_ray.query.engine import postings_sidecar_paths
+    from search_engine_ray.query.engine import (
+        _FIXED_STREAMS,
+        _BucketPostings,
+        postings_sidecar_paths,
+    )
 
+    width = np.array([np.dtype(dt).itemsize for _, dt in _FIXED_STREAMS])
+    S = cfg["num_shards"]
     by_bucket: dict[int, list[str]] = {}
     for t in pick:
-        by_bucket.setdefault(term_bucket(t, term_buckets), []).append(t)
-    n_checked = n_missing = n_extent = n_df = 0
+        by_bucket.setdefault(term_bucket(t, cfg["term_buckets"]),
+                             []).append(t)
+    n_checked = n_missing = n_extent = n_df = n_width = n_ids = 0
     for b, ts in sorted(by_bucket.items()):
         _, blob_p, dir_p = postings_sidecar_paths(out_dir, b)
         if not os.path.exists(dir_p):
             continue
-        d = np.load(dir_p)
-        size = os.path.getsize(blob_p)
+        side = _BucketPostings(dir_p, blob_p)
+        size = len(side.blob)
         keys = np.array([t.encode() for t in ts], dtype="S")
-        lo = np.searchsorted(d["term"], keys, "left")
-        hi = np.searchsorted(d["term"], keys, "right")
+        lo = np.searchsorted(side.terms, keys, "left")
+        hi = np.searchsorted(side.terms, keys, "right")
         for t, a, z in zip(ts, lo.tolist(), hi.tolist()):
             n_checked += 1
             if z == a:
                 n_missing += 1
                 continue
-            off, ln = d["off"][a:z], d["len"][a:z]
+            n, off, ln = side.n[a:z], side.off[a:z], side.len[a:z]
+            if int(n.sum()) != df_map[t]:
+                n_df += 1
             if (off < 0).any() or (ln < 0).any() or (off + ln > size).any():
                 n_extent += 1
-            if int(d["n"][a:z].sum()) != df_map[t]:
-                n_df += 1
-    add("postings:sidecar", n_missing + n_extent + n_df == 0,
+                continue
+            if (ln[:, :len(width)] != n[:, None] * width).any():
+                n_width += 1
+                continue
+            for i, s in zip(range(a, z), side.shard[a:z].tolist()):
+                ids = side.stream(slice(i, i + 1), 0, _FIXED_STREAMS[0][1])
+                if (np.diff(ids) <= 0).any() or (ids % S != s).any():
+                    n_ids += 1
+                    break
+    add("postings:sidecar", n_missing + n_extent + n_df + n_width
+        + n_ids == 0,
         f"{n_checked} sampled terms in fresh sidecars: {n_missing} "
         f"without entries, {n_extent} with extents outside the blob, "
-        f"{n_df} df mismatches")
+        f"{n_df} df mismatches, {n_width} with a stream length other "
+        f"than n values, {n_ids} with doc ids unsorted or outside "
+        "their entry's shard")
 
 
 def check_index(out_dir: str, sample_terms: int = 64,
@@ -161,8 +183,8 @@ def check_index(out_dir: str, sample_terms: int = 64,
             out.append(("postings:sample", "fail",
                         f"{type(e).__name__}: {e}"))
         try:
-            _check_postings_sidecar(out_dir, man["config"]["term_buckets"],
-                                    df_map, pick, add)
+            _check_postings_sidecar(out_dir, man["config"], df_map,
+                                    pick, add)
         except Exception as e:  # noqa: BLE001
             out.append(("postings:sidecar", "fail",
                         f"{type(e).__name__}: {e}"))

@@ -125,10 +125,14 @@ class BatchQueryPool:
 
     def __init__(self, index_dir: str, num_workers: int = 4,
                  k: int = 10, mode: str = "bm25"):
-        from search_engine_ray.query.engine import warm_docmeta_sidecar
+        from search_engine_ray.query.engine import (
+            warm_docmeta_sidecar,
+            warm_postings_sidecars,
+        )
 
         # one sidecar build on the driver; workers then mmap shared pages
         warm_docmeta_sidecar(index_dir, with_glove=(mode == "reference"))
+        warm_postings_sidecars(index_dir)
         worker = ray.remote(num_cpus=1)(_EngineWorker)
         self.actors = [worker.remote(index_dir, k, mode)
                        for _ in range(num_workers)]

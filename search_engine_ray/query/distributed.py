@@ -6,8 +6,9 @@ disjoint set of doc shards (the reference's posting/doc caches,
 searcher.py:39-51 / ranker.py:30-36, promoted to per-shard server
 state).  Each actor hosts the in-process engine itself,
 ``SearchEngine(out_dir, shards=...)``: it reads only its shards' posting
-entries from the shared ``<index>/cache/`` sidecars, and keeps the
-GLOBAL dictionary, corpus stats (N, avg_dl, df) and docmeta.
+entries from the shared ``<index>/cache/`` sidecars (derived by the
+driver before any actor starts), and keeps the GLOBAL dictionary,
+corpus stats (N, avg_dl, df) and docmeta.
 
 Doc-sharding makes this exact: a document's postings live entirely in
 its shard, so every actor scores its docs exactly as one unrestricted
@@ -26,7 +27,12 @@ import numpy as np
 
 import ray
 
-from search_engine_ray.query.engine import SearchEngine, champion_order
+from search_engine_ray.query.engine import (
+    SearchEngine,
+    champion_order,
+    warm_docmeta_sidecar,
+    warm_postings_sidecars,
+)
 
 
 def merge_ranked(parts: list, k: int) -> list:
@@ -65,6 +71,10 @@ class DistributedSearchEngine:
             raw_tokens=self.cfg.raw_tokens)
         S = self.cfg.num_shards
         num_actors = min(num_actors, S)
+        # derive the shared cache/ files once, here: the actors then map
+        # them instead of each writing the ones its first queries touch
+        warm_postings_sidecars(out_dir)
+        warm_docmeta_sidecar(out_dir)
         actor = ray.remote(SearchEngine)
         self.actors = [actor.remote(out_dir,
                                     shards=list(range(i, S, num_actors)))

@@ -24,14 +24,18 @@ last k — the reference's exact output order (ranker.py:46-63).
 
 Posting/doc-meta access: postings by pointer.  The first engine that
 touches a term bucket derives a per-bucket sidecar under
-``<index>/cache/`` from the bucket's posting Parquet files: a flat blob
-of the varbyte streams and a term-sorted directory of (term, shard
-file, doc shard, n, per-stream offset/length), holding only the
-capitals-collision winner's rows.  A cold term is then a
-``searchsorted`` in the directory plus a slice of the memory-mapped
-blob, decoded into a per-engine posting cache (the reference finds a
-term's postings the same way, through ``inverted_idx``'s term ->
-posting-file pointer and a lazily filled cache, searcher.py:39-51).
+``<index>/cache/`` from the bucket's posting Parquet files, decoding
+their varbyte streams once: a flat blob of fixed-width arrays
+(absolute doc ids as int64, tf/dl/max-tf as int32; positions stay
+varbyte) and a term-sorted directory of (term, shard file, doc shard,
+n, per-stream offset/length), holding only the capitals-collision
+winner's rows.  A cold term is then a ``searchsorted`` in the
+directory plus typed views of the memory-mapped blob: zero-copy when
+the term has one entry in this engine's shards, one concatenation and
+a stable argsort by doc id otherwise.  Cached arrays are read-only
+(the reference finds a term's postings the same way, through
+``inverted_idx``'s term -> posting-file pointer and a lazily filled
+cache, searcher.py:39-51).
 Doc metadata comes from a sorted memory-mapped docmeta sidecar in the
 same directory.
 
@@ -160,15 +164,23 @@ def _atomic_write(path: str, write) -> None:
 
 # ------------------------------------------------------ postings sidecar
 # Per final term bucket: ``postings-b<bucket>-<fp>.blob`` holds, for each
-# posting file in turn, the concatenated docids/tf/dl/mtf (+pos) varbyte
-# streams; ``postings-b<bucket>-<fp>.dir.npy`` is the directory: one
-# entry per (term, posting file) row, sorted by term, with the row's doc
-# shard, n and each stream's offset and length in the blob.  ``fp``
+# posting file in turn, the file's postings decoded once into
+# fixed-width little-endian arrays: absolute doc ids (int64), then tf,
+# dl and max-tf (int32), each region starting 8-byte aligned and holding
+# the file's rows back to back; with positions, the rows' varbyte
+# position streams follow as they are in Parquet.
+# ``postings-b<bucket>-<fp>.dir.npy`` is the directory: one entry per
+# (term, posting file) row, sorted by term, with the row's doc shard, n
+# and each stream's byte offset and length in the blob.  ``fp``
 # fingerprints the format, the bucket's posting files and the dictionary
 # files, so a rebuilt index (or a sidecar written in an older format)
 # gets new names.
 
-_SIDECAR_FORMAT = b"postings-sidecar-2"
+_SIDECAR_FORMAT = b"postings-sidecar-3"
+# (Parquet column, blob dtype) of the fixed-width streams, in directory
+# stream order; positions (``pos_vb``) are stream 4 when present
+_FIXED_STREAMS = (("docids_vb", "<i8"), ("tf_vb", "<i4"),
+                  ("dl_vb", "<i4"), ("mtf_vb", "<i4"))
 
 
 def postings_sidecar_paths(out_dir: str, bucket: int):
@@ -216,25 +228,32 @@ def _binary_values(col) -> tuple[np.ndarray, memoryview]:
 def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
                             winners: dict, positions: bool) -> None:
     """Write one bucket's blob and directory from its posting files.
-    Only the dictionary's winning orig term keeps entries for a final
-    term that several orig terms rewrite to (``winners``, from
-    ``load_df_and_orig``).  One posting file is in memory at a time.
-    Both files go through temp + ``os.replace`` and the directory lands
-    last, so a reader that finds the directory finds its blob; racing
-    writers of the same fingerprint write identical bytes."""
+    Each file's doc-id/tf/dl/max-tf streams are decoded once, with one
+    ``varbyte_decode`` per column over the file's concatenated rows;
+    the doc-id deltas restart at every row, so a per-row base
+    correction of the cumsum gives absolute ids.  Only the dictionary's
+    winning orig term keeps entries for a final term that several orig
+    terms rewrite to (``winners``, from ``load_df_and_orig``).  One
+    posting file is in memory at a time.  Both files go through temp +
+    ``os.replace`` and the directory lands last, so a reader that finds
+    the directory finds its blob; racing writers of the same
+    fingerprint write identical bytes."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    streams = ("docids_vb", "tf_vb", "dl_vb", "mtf_vb") + (
-        ("pos_vb",) if positions else ())
+    from search_engine_ray.index.encoding import varbyte_decode
+
+    cols = [c for c, _ in _FIXED_STREAMS] + (["pos_vb"] if positions
+                                             else [])
     os.makedirs(os.path.dirname(blob_p), exist_ok=True)
     terms, file_ix, shards, ns, offs, lens = [], [], [], [], [], []
+    i32_max = np.iinfo(np.int32).max
 
     def write_blob(fh) -> None:
         pos = 0
         for fi, f in enumerate(files):
             t = pq.read_table(f, columns=["term", "orig", "shard", "n",
-                                          *streams])
+                                          *cols])
             if winners:
                 keep = [winners.get(x, o) == o for x, o in zip(
                     t.column("term").to_pylist(),
@@ -242,12 +261,38 @@ def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
                 t = t.filter(pa.array(keep, pa.bool_()))
             if t.num_rows == 0:
                 continue
-            o = np.empty((t.num_rows, len(streams)), np.int64)
+            n = t.column("n").to_numpy().astype(np.int64)
+            start = np.zeros(len(n) + 1, np.int64)
+            np.cumsum(n, out=start[1:])
+            total = int(start[-1])
+            o = np.empty((t.num_rows, len(cols)), np.int64)
             ln = np.empty_like(o)
-            for k, s in enumerate(streams):
-                rel, data = _binary_values(t.column(s))
-                o[:, k] = pos + rel[:-1]
-                ln[:, k] = np.diff(rel)
+            for k, (c, dt) in enumerate(_FIXED_STREAMS):
+                v = varbyte_decode(_binary_values(t.column(c))[1],
+                                   count=total)
+                if len(v) != total:
+                    raise RuntimeError(
+                        f"{f}: column {c} holds {len(v)} values, its "
+                        f"rows' n sum to {total}")
+                if k == 0:
+                    cs = np.zeros(total + 1, np.int64)
+                    np.cumsum(v, out=cs[1:])
+                    v = cs[1:] - np.repeat(cs[start[:-1]], n)
+                elif total and int(v.max()) > i32_max:
+                    raise ValueError(f"{f}: column {c} holds a value "
+                                     "that does not fit int32")
+                pad = -pos % 8
+                fh.write(b"\0" * pad)
+                pos += pad
+                w = np.dtype(dt).itemsize
+                o[:, k] = pos + w * start[:-1]
+                ln[:, k] = w * n
+                fh.write(v.astype(dt).tobytes())
+                pos += w * total
+            if positions:
+                rel, data = _binary_values(t.column("pos_vb"))
+                o[:, -1] = pos + rel[:-1]
+                ln[:, -1] = np.diff(rel)
                 fh.write(data)
                 pos += len(data)
             offs.append(o)
@@ -256,10 +301,10 @@ def _write_postings_sidecar(files: list[str], blob_p: str, dir_p: str,
                          .to_numpy(zero_copy_only=False))
             file_ix.append(np.full(t.num_rows, fi, np.int32))
             shards.append(t.column("shard").to_numpy())
-            ns.append(t.column("n").to_numpy())
+            ns.append(n)
 
     _atomic_write(blob_p, write_blob)
-    S, N = len(streams), sum(len(x) for x in terms)
+    S, N = len(cols), sum(len(x) for x in terms)
     term_arr = np.array(np.concatenate(terms) if N else [], dtype="S")
     order = np.argsort(term_arr, kind="stable")
     # one 0-d record whose fields are whole columns, so every column is
@@ -309,9 +354,10 @@ class _BucketPostings:
                 fh.fileno(), 0, access=mmap.ACCESS_READ), dtype=np.uint8)
                 if os.fstat(fh.fileno()).st_size else np.zeros(0, np.uint8))
 
-    def stream(self, sel, k: int) -> np.ndarray:
+    def stream(self, sel, k: int, dtype=np.uint8) -> np.ndarray:
         """Stream ``k`` of the directory entries ``sel`` (a slice or an
-        index array), concatenated."""
+        index array) as ``dtype``: a read-only view of the blob for one
+        entry, a concatenated copy for several."""
         parts = []
         for o, n in zip(self.off[sel, k].tolist(),
                         self.len[sel, k].tolist()):
@@ -320,7 +366,8 @@ class _BucketPostings:
                     f"postings sidecar {self._blob_p} is shorter than its "
                     "directory; delete it to rebuild")
             parts.append(self.blob[o:o + n])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return (parts[0] if len(parts) == 1
+                else np.concatenate(parts)).view(dtype)
 
 
 _POS_M = np.int64(1) << np.int64(32)  # (cand, pos) key packing bound
@@ -433,6 +480,25 @@ def warm_docmeta_sidecar(out_dir: str, *, with_glove: bool = False) -> None:
     if not _sidecar_fresh(meta_p, kind, ds):
         _write_sidecar(out_dir, ds, man["config"]["glove_dim"],
                        with_glove=with_glove)
+
+
+def warm_postings_sidecars(out_dir: str) -> None:
+    """Derive every term bucket's postings sidecar that does not match
+    the index's current files, WITHOUT constructing an engine — call
+    from a driver before spawning shard actors or workers, so they map
+    ready sidecars instead of each deriving the buckets they touch.
+    The dictionary is loaded only when some bucket needs writing."""
+    from search_engine_ray.index import manifest as mf
+
+    cfg = EngineConfig(**mf.read_manifest(out_dir)["config"])
+    winners = None
+    for b in range(cfg.term_buckets):
+        files, blob_p, dir_p = postings_sidecar_paths(out_dir, b)
+        if files and not os.path.exists(dir_p):
+            if winners is None:
+                winners = mf.load_df_and_orig(out_dir)[1]
+            _write_postings_sidecar(files, blob_p, dir_p, winners,
+                                    cfg.positions)
 
 
 class SearchEngine:
@@ -577,51 +643,38 @@ class SearchEngine:
                         sel) -> dict | None:
         """One term's cache entry from its directory entries ``sel`` (a
         slice or an index array; one entry per posting file, i.e. per
-        doc shard); None when ``sel`` is empty."""
-        from search_engine_ray.index.encoding import varbyte_decode
-
+        doc shard); None when ``sel`` is empty.  The arrays are typed
+        views of the blob for one entry; for several, their
+        concatenation sorted by doc id.  Either way they are
+        read-only."""
         ns = side.n[sel]
         if len(ns) == 0:
             return None
-        # decode each stream ONCE over the concatenated shard buffers
-        # (not per shard row) — delta resets at shard-run starts are
-        # undone with a per-segment cumsum-offset correction
+        cols = [side.stream(sel, k, dt)
+                for k, (_, dt) in enumerate(_FIXED_STREAMS)]
         total = int(ns.sum())
-        cs = np.cumsum(varbyte_decode(side.stream(sel, 0), count=total))
-        seg_starts = np.zeros(len(ns), dtype=np.int64)
-        np.cumsum(ns[:-1], out=seg_starts[1:])
-        base = np.zeros(len(ns), dtype=np.int64)
-        base[1:] = cs[seg_starts[1:] - 1]
-        ids = cs - np.repeat(base, ns)
-        tfs = varbyte_decode(side.stream(sel, 1), count=total)
-        dls = varbyte_decode(side.stream(sel, 2), count=total)
-        order = np.argsort(ids, kind="stable")
-        # mtf is only read by the reference-mode scorer — keep the raw
-        # bytes and decode on first use (cuts 25% off the cold bm25
-        # decode bill)
-        entry = {
-            "doc_ids": ids[order],
-            "tfs": tfs[order],
-            "dls": dls[order],
-            "mtfs": None,
-            "_mtf_raw": (side.stream(sel, 3), total, order),
-        }
+        if any(len(c) != total for c in cols):
+            raise RuntimeError(
+                f"postings sidecar {side._blob_p} disagrees with its "
+                "directory; delete it to rebuild")
+        tfs_pre, order = cols[1], None
+        if len(ns) > 1:
+            order = np.argsort(cols[0], kind="stable")
+            cols = [c[order] for c in cols]
+            for c in cols:
+                c.flags.writeable = False
+        entry = dict(zip(("doc_ids", "tfs", "dls", "mtfs"), cols))
         if self.cfg.positions:
-            # positions decode lazily too (only phrase/proximity queries
+            # positions decode lazily (only phrase/proximity queries
             # pay): raw concatenated sublist stream + the pre-sort tf
-            # counts + the doc-sort permutation
+            # counts + the doc-sort permutation (None: already sorted)
             entry["pos"] = None
-            entry["_pos_raw"] = (side.stream(sel, 4), tfs, order)
+            entry["_pos_raw"] = (side.stream(sel, 4), tfs_pre, order)
         return entry
 
     @staticmethod
     def _mtfs_of(p: dict) -> np.ndarray:
-        """Lazy-decoded max-tf stream of a cached posting entry."""
-        if p["mtfs"] is None:
-            buf, total, order = p.pop("_mtf_raw")
-            from search_engine_ray.index.encoding import varbyte_decode
-
-            p["mtfs"] = varbyte_decode(buf, count=total)[order]
+        """Max-tf stream of a cached posting entry."""
         return p["mtfs"]
 
     @staticmethod
@@ -631,25 +684,17 @@ class SearchEngine:
         term in doc_ids[i], ascending)."""
         if p["pos"] is None:
             from search_engine_ray.index.encoding import (
+                decode_position_lists,
                 sublist_gather,
-                varbyte_decode,
             )
 
             buf, tfs_pre, order = p.pop("_pos_raw")
-            tfs_pre = np.asarray(tfs_pre, dtype=np.int64)
-            d = varbyte_decode(buf, count=int(tfs_pre.sum()))
-            # reorder sublists into doc-sorted order (deltas never cross
-            # sublists, so they move atomically), then one segment-cumsum
-            # to absolutes
-            gather, out_off = sublist_gather(tfs_pre, order)
-            cnt_o = np.diff(out_off)
-            d = d[gather]
-            cs = np.cumsum(d)
-            base = np.zeros(len(cnt_o), dtype=np.int64)
-            if len(cnt_o) > 1:
-                base[1:] = cs[out_off[1:-1] - 1]
-            p["pos"] = cs - np.repeat(base, cnt_o)
-            p["pos_off"] = out_off
+            pos, off = decode_position_lists(buf, tfs_pre)
+            if order is not None:
+                # sublists move atomically into doc-sorted order
+                gather, off = sublist_gather(tfs_pre, order)
+                pos = pos[gather]
+            p["pos"], p["pos_off"] = pos, off
         return p["pos"], p["pos_off"]
 
     def _positional_candidates(self, terms: list[str]):

@@ -1,6 +1,6 @@
 """Postings by pointer: SearchEngine reads cold postings from a per-bucket
-sidecar under <index>/cache/ (a term-sorted directory + a varbyte blob)
-derived from the posting Parquet files on first use."""
+sidecar under <index>/cache/ (a term-sorted directory + a blob of decoded
+fixed-width arrays) derived from the posting Parquet files on first use."""
 
 import glob
 import os
@@ -247,11 +247,41 @@ def test_restricted_engines_partition_postings(pos_index):
     assert any(e.postings("STRASSE") is None for e in parts) or S == 1
 
 
+def _write_varbyte_sidecar(side, blob_p, dir_p):
+    """``side``'s postings in the varbyte sidecar layout: the same
+    directory, its extents pointing at each entry's doc-id deltas and
+    tf/dl/max-tf values varbyte-encoded, positions as they are."""
+    from search_engine_ray.index.encoding import delta_encode, varbyte_encode
+    from search_engine_ray.query.engine import _FIXED_STREAMS
+
+    N, S = side.off.shape
+    d = np.zeros((), dtype=[
+        ("term", side.terms.dtype, (N,)), ("file", np.int32, (N,)),
+        ("shard", np.int32, (N,)), ("n", np.int64, (N,)),
+        ("off", np.int64, (N, S)), ("len", np.int64, (N, S))])
+    d["term"], d["shard"], d["n"] = side.terms, side.shard, side.n
+    chunks, pos = [], 0
+    for i in range(N):
+        for k in range(S):
+            raw = side.stream(slice(i, i + 1), k)
+            if k < len(_FIXED_STREAMS):
+                v = raw.view(_FIXED_STREAMS[k][1]).astype(np.int64)
+                raw = np.frombuffer(varbyte_encode(
+                    delta_encode(v) if k == 0 else v)[0], np.uint8)
+            d["off"][i, k], d["len"][i, k] = pos, len(raw)
+            chunks.append(raw.tobytes())
+            pos += len(raw)
+    np.save(dir_p, d)
+    with open(blob_p, "wb") as fh:
+        fh.write(b"".join(chunks))
+
+
 def test_sidecar_of_older_format_is_not_read(pos_index, tmp_path,
                                              monkeypatch):
-    """A postings sidecar in the previous format (a directory without
-    the per-entry shard column) left in cache/ has another fingerprinted
-    name: engines derive the current format instead of reading it."""
+    """Postings sidecars of older formats left in cache/ (a directory
+    without the per-entry shard column; today's directory over a blob of
+    varbyte streams) have other fingerprinted names: engines derive the
+    current format instead of reading them."""
     from search_engine_ray.query import engine as engine_mod
     from search_engine_ray.query.engine import SearchEngine
 
@@ -265,14 +295,19 @@ def test_sidecar_of_older_format_is_not_read(pos_index, tmp_path,
             for q in queries]
 
     nb = SearchEngine(idx).cfg.term_buckets
-    monkeypatch.setattr(engine_mod, "_SIDECAR_FORMAT",
-                        b"postings-sidecar-1")
-    old = [engine_mod.postings_sidecar_paths(idx, b)[1:]
-           for b in range(nb)]
-    monkeypatch.undo()
+
+    def paths_of(fmt):
+        monkeypatch.setattr(engine_mod, "_SIDECAR_FORMAT", fmt)
+        out = [engine_mod.postings_sidecar_paths(idx, b)[1:]
+               for b in range(nb)]
+        monkeypatch.undo()
+        return out
+
+    v1, v2 = paths_of(b"postings-sidecar-1"), paths_of(b"postings-sidecar-2")
+    old = v1 + v2
     full = SearchEngine(idx)
-    for b, (blob_p, dir_p) in enumerate(old):
-        # the old directory layout, every extent pointing at junk
+    for b, (blob_p, dir_p) in enumerate(v1):
+        # the first directory layout, every extent pointing at junk
         terms = full._bucket(b).terms
         N = len(terms)
         d = np.zeros((), dtype=[
@@ -283,6 +318,8 @@ def test_sidecar_of_older_format_is_not_read(pos_index, tmp_path,
         np.save(dir_p, d)
         with open(blob_p, "wb") as fh:
             fh.write(b"\xff" * 64)
+    for b, (blob_p, dir_p) in enumerate(v2):
+        _write_varbyte_sidecar(full._bucket(b), blob_p, dir_p)
     for f in _sidecar_files(idx):
         if f not in {p for pair in old for p in pair}:
             os.unlink(f)
@@ -293,3 +330,151 @@ def test_sidecar_of_older_format_is_not_read(pos_index, tmp_path,
     new = _sidecar_files(idx)
     assert len(new) == 2 * nb
     assert not set(new) & {p for pair in old for p in pair}
+
+
+def _durable_postings(idx):
+    """term -> shard -> [(doc_id, tf, dl, mtf, positions)] decoded from
+    the posting Parquet files with ``encoding.decode_postings``, keeping
+    each term's winning orig rows (the greatest orig term, the
+    dictionary's collision rule)."""
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.index.encoding import decode_postings
+
+    rows = {}
+    for f in glob.glob(os.path.join(idx, "postings", "**", "*.parquet"),
+                       recursive=True):
+        for r in pq.read_table(f, columns=[
+                "term", "orig", "shard", "n", "docids_vb", "tf_vb",
+                "dl_vb", "mtf_vb", "pos_vb"]).to_pylist():
+            rows.setdefault(r["term"], []).append(r)
+    out = {}
+    for term, rs in rows.items():
+        win = max(r["orig"] for r in rs)
+        for r in rs:
+            if r["orig"] != win:
+                continue
+            p = decode_postings(r)
+            off = p["pos_off"]
+            out.setdefault(term, {})[r["shard"]] = [
+                (d, t, dl, m, tuple(p["pos"][off[i]:off[i + 1]].tolist()))
+                for i, (d, t, dl, m) in enumerate(zip(
+                    p["doc_ids"].tolist(), p["tfs"].tolist(),
+                    p["dls"].tolist(), p["mtfs"].tolist()))]
+    return out
+
+
+def test_cache_equals_durable_postings(pos_index):
+    """Every dictionary term's cache entry, in an unrestricted engine
+    (entries of several shards merged) and in each single-shard engine
+    (one entry: a view of the blob), equals the durable postings; the
+    cached arrays are read-only."""
+    from search_engine_ray.ids import term_bucket
+    from search_engine_ray.query.engine import SearchEngine
+
+    idx, _ = pos_index
+    durable = _durable_postings(idx)
+    full = SearchEngine(idx)
+    S = full.cfg.num_shards
+    vocab = sorted(full.df_map)
+    assert "STRASSE" in vocab
+    engines = [(full, range(S))] + [(SearchEngine(idx, shards=[s]), [s])
+                                    for s in range(S)]
+    for eng, shards in engines:
+        eng.prefetch(vocab)
+        for t in vocab:
+            want = sorted(x for s in shards
+                          for x in durable[t].get(s, []))
+            if eng is full:
+                assert len(want) == full.df_map[t], t
+            p = eng.postings(t)
+            if not want:
+                assert p is None, t
+                continue
+            pos, off = eng._positions_of(p)
+            got = [(d, tf, dl, m, tuple(pos[off[i]:off[i + 1]].tolist()))
+                   for i, (d, tf, dl, m) in enumerate(zip(
+                       p["doc_ids"].tolist(), p["tfs"].tolist(),
+                       p["dls"].tolist(), p["mtfs"].tolist()))]
+            assert got == want, (t, shards)
+            for k in ("doc_ids", "tfs", "dls", "mtfs"):
+                with pytest.raises(ValueError):
+                    p[k][0] = 1
+            one_entry = len({d % S for d in p["doc_ids"].tolist()}) == 1
+            blob = eng._bucket(term_bucket(t, eng.cfg.term_buckets)).blob
+            assert np.shares_memory(p["doc_ids"], blob) == one_entry, t
+
+
+def _fsck_sidecar(idx):
+    from search_engine_ray.index.fsck import check_index
+
+    t = check_index(idx, sample_terms=10_000)
+    return dict(zip(t.column("check").to_pylist(),
+                    t.column("status").to_pylist()))["postings:sidecar"]
+
+
+def test_fsck_checks_sidecar_streams(pos_index, tmp_path):
+    """fsck fails a sidecar whose tf stream is one value short of n, one
+    whose doc ids are out of order, and one whose entries name the
+    wrong doc shard."""
+    from search_engine_ray.query.engine import warm_postings_sidecars
+
+    src, _ = pos_index
+
+    def corrupt(name, edit):
+        idx = str(tmp_path / name)
+        shutil.copytree(src, idx)
+        warm_postings_sidecars(idx)
+        assert _fsck_sidecar(idx) == "ok"
+        dir_p = [f for f in _sidecar_files(idx)
+                 if f.endswith(".dir.npy")][0]
+        d = np.load(dir_p)
+        edit(d, dir_p[:-len(".dir.npy")] + ".blob")
+        np.save(dir_p, d)
+        return _fsck_sidecar(idx)
+
+    def short_tf(d, _):
+        d["len"][:, 1] -= 4
+
+    def swap_ids(d, blob_p):
+        blob = np.memmap(blob_p, dtype=np.uint8, mode="r+")
+        for o, n in zip(d["off"][:, 0].tolist(), d["n"].tolist()):
+            if n >= 2:
+                ids = blob[o:o + 16].view("<i8")
+                ids[:] = ids[::-1].copy()
+        blob.flush()
+
+    def wrong_shard(d, _):
+        d["shard"] += 1
+
+    assert corrupt("short_tf", short_tf) == "fail"
+    assert corrupt("swap_ids", swap_ids) == "fail"
+    assert corrupt("wrong_shard", wrong_shard) == "fail"
+
+
+def test_distributed_engine_warms_sidecars(built_index, tmp_path):
+    """The distributed engine derives every bucket's postings sidecar
+    (and the docmeta sidecar) on the driver before its actors start:
+    the actors' queries then leave cache/ untouched."""
+    from search_engine_ray.fixtures import gen_queries
+    from search_engine_ray.query.distributed import DistributedSearchEngine
+    from search_engine_ray.query.engine import postings_sidecar_paths
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built_index[0], idx)
+    shutil.rmtree(os.path.join(idx, "cache"), ignore_errors=True)
+    dist = DistributedSearchEngine(idx, num_actors=2)
+    for b in range(dist.cfg.term_buckets):
+        files, blob_p, dir_p = postings_sidecar_paths(idx, b)
+        if files:
+            assert os.path.exists(blob_p) and os.path.exists(dir_p), b
+
+    def snapshot():
+        cache = os.path.join(idx, "cache")
+        return {n: os.stat(os.path.join(cache, n)).st_mtime_ns
+                for n in sorted(os.listdir(cache))}
+
+    before = snapshot()
+    for q in gen_queries():
+        dist.search(q, k=10, mode="bm25")
+    assert snapshot() == before
