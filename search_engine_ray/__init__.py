@@ -13,7 +13,8 @@ reference tweet search engine (JonatanMilver/Search_Engine, snapshot at
 - one bucketed ``groupby`` shuffle merges SPIMI-style partial posting
   runs, global side-aggregates (capitals-AND, entity counts, df) ride the
   same shuffle as typed rows;
-- delta + varbyte compressed posting blobs with block-max metadata;
+- delta + varbyte compressed posting blobs (doc ids, tf, doc length,
+  max tf, optional positions);
 - a BM25 top-k query engine (exact term-at-a-time and block-max WAND)
   plus an exact reproduction of the reference's blended scorer
   (0.9·tf-idf-cosine + 0.05·BM25 + 0.05·GloVe-cosine, including its

@@ -40,7 +40,8 @@ class EngineConfig:
     num_shards: int = 8             # doc_id % num_shards postings partitioning
     term_buckets: int = 32          # posting shuffle partition count AND
                                     # query-side directory pruning granularity
-    block_size: int = 128           # postings per block-max block
+    block_size: int = 128           # postings per block in bm25_wand's
+                                    # query-time block bounds
     parse_batch_size: int = 1024    # docs per parser batch
     parse_part_rows: int = 4096     # target rows per parse partition (the
                                     # per-partition commit/resume unit;

@@ -16,10 +16,9 @@ checkpointed Dataset stages over zero-copy Arrow batches:
    prune; /root/reference/indexer.py:156-169).
 3. ``postings``— SPIMI partial runs per term built inside map_batches
    (the pre-shuffle combine; stats varbyte-compressed in flight), merged
-   per term bucket and encoded into delta+varbyte posting blobs with
-   block-max metadata.  The dictionary verdicts are routed through the
-   same shuffle as co-partitioned rows — no broadcast of vocab-sized
-   state.
+   per term bucket and encoded into delta+varbyte posting blobs.  The
+   dictionary verdicts are routed through the same shuffle as
+   co-partitioned rows — no broadcast of vocab-sized state.
 4. ``docmeta`` — GloVe doc centroids (/root/reference/indexer.py:54-69)
    + covid flag as an ordinary boolean column; one file per parse
    partition, rows sorted by (shard, doc_id) with small row groups so
@@ -121,7 +120,7 @@ _RUN_FIELDS = [
     ("n", pa.int64()),
     ("docids", pa.binary()),            # raw int64 doc ids, doc-sorted
     ("tfs", pa.binary()), ("dls", pa.binary()),   # varbyte streams
-    ("mtfs", pa.binary()), ("uniqs", pa.binary()),
+    ("mtfs", pa.binary()),
     # per-posting position sublists (within-doc delta + varbyte; the
     # sublist for posting i holds tfs[i] values) — b"" unless
     # cfg.positions
@@ -137,7 +136,7 @@ RUN_SCHEMA = pa.schema(_RUN_FIELDS)
 
 # bump when the on-disk index layout changes — part of the checkpoint
 # fingerprint so stale checkpoints rebuild instead of misloading
-INDEX_FORMAT = 8
+INDEX_FORMAT = 9
 
 
 def _doc_positions_flat(d) -> list:
@@ -274,6 +273,28 @@ def _bucket_array(keys_list: list, nbuckets: int) -> pa.Array:
     return pa.array(out, pa.int32())
 
 
+def dict_rows(keys, term_buckets: int, *, df=None, caps=None,
+              ent=None) -> pa.Table:
+    """Dictionary partial rows for ``keys`` shaped to RUN_SCHEMA:
+    sshard=-1, the posting columns null, and the df / capitals-AND /
+    entity doc-count partials the caller passes (the others null)."""
+    keys = keys.cast(pa.string())
+    n = len(keys)
+    given = {"tbucket": _bucket_array(keys.to_pylist(), term_buckets),
+             "sshard": np.full(n, -1, np.int32), "term": keys,
+             "df_part": df, "caps_part": caps, "ent_part": ent}
+
+    def col(f: pa.Field):
+        v = given.get(f.name)
+        if v is None:
+            return pa.nulls(n, f.type)
+        if isinstance(v, (pa.Array, pa.ChunkedArray)):
+            return v.cast(f.type)
+        return pa.array(v, f.type)
+
+    return pa.table([col(f) for f in RUN_SCHEMA], schema=RUN_SCHEMA)
+
+
 def dict_partial_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
     """Per-batch pre-aggregation for the dictionary groupby: df partials
     (terms are unique per doc so a flat value_count is a doc count),
@@ -282,38 +303,16 @@ def dict_partial_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
     the posting runs (one scan, one shuffle)."""
     import pyarrow.compute as pc
 
-    tables = []
-
-    def sub(keys: pa.Array, df=None, caps=None, ent=None):
-        n = len(keys)
-        tables.append(pa.table({
-            "tbucket": _bucket_array(keys.to_pylist(), term_buckets),
-            "sshard": pa.array(np.full(n, -1, np.int32)),
-            "term": keys.cast(pa.string()),
-            "n": pa.nulls(n, pa.int64()),
-            "docids": pa.nulls(n, pa.binary()),
-            "tfs": pa.nulls(n, pa.binary()),
-            "dls": pa.nulls(n, pa.binary()),
-            "mtfs": pa.nulls(n, pa.binary()),
-            "uniqs": pa.nulls(n, pa.binary()),
-            "poss": pa.nulls(n, pa.binary()),
-            "df_part": pa.nulls(n, pa.int64()) if df is None
-            else df.cast(pa.int64()),
-            "caps_part": pa.nulls(n, pa.int8()) if caps is None
-            else pa.array(caps, pa.int8()),
-            "ent_part": pa.nulls(n, pa.int64()) if ent is None
-            else ent.cast(pa.int64()),
-        }))
-
     vc = pc.list_flatten(batch.column("terms")).value_counts()
-    sub(vc.field("values"), df=vc.field("counts"))
+    tables = [dict_rows(vc.field("values"), term_buckets,
+                        df=vc.field("counts"))]
 
     # corpus stats ride the same shuffle as reserved "\x01" keys — saves a
     # separate full-scan aggregate execution (n_docs / sum(doc_length))
-    sub(pa.array([NDOCS_KEY, SUMDL_KEY], pa.string()),
-        df=pa.array([batch.num_rows,
-                     int(pc.sum(batch.column("doc_length")).as_py() or 0)],
-                    pa.int64()))
+    tables.append(dict_rows(
+        pa.array([NDOCS_KEY, SUMDL_KEY]), term_buckets,
+        df=[batch.num_rows,
+            int(pc.sum(batch.column("doc_length")).as_py() or 0)]))
 
     caps_t = pc.list_flatten(batch.column("caps_terms")).combine_chunks()
     if len(caps_t):
@@ -323,12 +322,13 @@ def dict_partial_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
         codes = denc.indices.to_numpy(zero_copy_only=False)
         mins = np.ones(len(denc.dictionary), dtype=np.int8)
         np.minimum.at(mins, codes, caps_f)  # AND within batch
-        sub(denc.dictionary, caps=mins)
+        tables.append(dict_rows(denc.dictionary, term_buckets, caps=mins))
 
     ents = pc.list_flatten(batch.column("entities"))
     if len(ents):
         vc = ents.value_counts()
-        sub(vc.field("values"), ent=vc.field("counts"))
+        tables.append(dict_rows(vc.field("values"), term_buckets,
+                                ent=vc.field("counts")))
 
     return pa.concat_tables(tables)
 
@@ -413,9 +413,9 @@ def fused_spill_rows(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
     ])
 
 
-def finalize_group(group, term_map: dict, tbucket: int, avg_dl: float,
+def finalize_group(group, term_map: dict, tbucket: int,
                    cfg: EngineConfig) -> pa.Table:
-    return FinalizeBucket(avg_dl, cfg)(group, term_map, tbucket)
+    return FinalizeBucket(cfg)(group, term_map, tbucket)
 
 
 def doc_vec_batch(batch: pa.Table, cfg: EngineConfig) -> pa.Table:
@@ -473,8 +473,6 @@ class BuildRuns:
             batch.column("doc_length").to_numpy(), lens).astype(np.int64)
         mtfs = np.repeat(
             batch.column("max_tf").to_numpy(), lens).astype(np.int64)
-        uniqs = np.repeat(
-            batch.column("unique_terms").to_numpy(), lens).astype(np.int64)
         shards = (doc_ids % self.cfg.num_shards).astype(np.int64)
 
         order = np.lexsort((doc_ids, shards, codes))
@@ -493,7 +491,6 @@ class BuildRuns:
         tf_buf, tf_off = varbyte_encode(flat_tfs[order])
         dl_buf, dl_off = varbyte_encode(dls[order])
         mtf_buf, mtf_off = varbyte_encode(mtfs[order])
-        uniq_buf, uniq_off = varbyte_encode(uniqs[order])
 
         if self.cfg.positions:
             # flat positions align with the NATURAL (doc, term) pair
@@ -541,7 +538,6 @@ class BuildRuns:
             "tfs": bin_col(tf_buf, tf_off[bounds]),
             "dls": bin_col(dl_buf, dl_off[bounds]),
             "mtfs": bin_col(mtf_buf, mtf_off[bounds]),
-            "uniqs": bin_col(uniq_buf, uniq_off[bounds]),
             "poss": poss_col,
             "df_part": pa.nulls(nseg, pa.int64()),
             "caps_part": pa.nulls(nseg, pa.int8()),
@@ -560,14 +556,11 @@ class FinalizeBucket:
     file (same term hash, same bucket count — no broadcast, no
     replication through the shuffle)."""
 
-    def __init__(self, avg_dl: float, config: EngineConfig):
-        self.avg_dl = avg_dl
+    def __init__(self, config: EngineConfig):
         self.cfg = config
 
     _OUT_COLS = ("shard", "tbucket", "term", "orig", "df_global", "n",
-                 "docids_vb", "tf_vb", "dl_vb", "mtf_vb", "uniq_vb",
-                 "pos_vb", "blk_last", "blk_max", "blk_doc_off",
-                 "blk_tf_off")
+                 "docids_vb", "tf_vb", "dl_vb", "mtf_vb", "pos_vb")
 
     def _empty(self) -> pa.Table:
         types = {"shard": pa.int32(), "tbucket": pa.int32(),
@@ -584,7 +577,6 @@ class FinalizeBucket:
 
         from search_engine_ray.index.encoding import (
             sublist_gather,
-            tf_norm,
             varbyte_encode,
         )
 
@@ -604,7 +596,6 @@ class FinalizeBucket:
         tfs = varbyte_decode(b"".join(runs["tfs"]), count=total)
         dls = varbyte_decode(b"".join(runs["dls"]), count=total)
         mtfs = varbyte_decode(b"".join(runs["mtfs"]), count=total)
-        uniqs = varbyte_decode(b"".join(runs["uniqs"]), count=total)
         if self.cfg.positions:
             # per-posting position sublists (within-doc deltas) ride the
             # reorder ATOMICALLY — deltas never cross sublists, so no
@@ -622,7 +613,6 @@ class FinalizeBucket:
         tfs = tfs[order]
         dls = dls[order]
         mtfs = mtfs[order]
-        uniqs = uniqs[order]
         seg_term = seg_term[order]
         seg_shard = seg_shard[order]
 
@@ -632,7 +622,6 @@ class FinalizeBucket:
             seg_shard[1:] != seg_shard[:-1])
         seg_starts = np.flatnonzero(boundary)
         seg_ends = np.append(seg_starts[1:], len(ids))
-        counts = seg_ends - seg_starts
 
         deltas = np.empty_like(ids)
         deltas[1:] = ids[1:] - ids[:-1]
@@ -642,34 +631,9 @@ class FinalizeBucket:
         tf_buf, tf_off = varbyte_encode(tfs)
         dl_buf, dl_off = varbyte_encode(dls)
         mtf_buf, mtf_off = varbyte_encode(mtfs)
-        uniq_buf, uniq_off = varbyte_encode(uniqs)
         if self.cfg.positions:
             gather, pos_out_off = sublist_gather(cnt_pre, order)
             pos_buf, pos_boff = varbyte_encode(pos_d[gather])
-
-        B = self.cfg.block_size
-        tn = tf_norm(tfs, dls.astype(np.float64), self.avg_dl,
-                     self.cfg.bm25_k1, self.cfg.bm25_b)
-        nblocks = (counts + B - 1) // B
-        seg_of_block = np.repeat(np.arange(len(seg_starts)), nblocks)
-        first_block = np.zeros(len(seg_starts), dtype=np.int64)
-        np.cumsum(nblocks[:-1], out=first_block[1:])
-        block_in_seg = np.arange(int(nblocks.sum())) - first_block[seg_of_block]
-        block_starts = seg_starts[seg_of_block] + block_in_seg * B
-        block_ends = np.minimum(block_starts + B, seg_ends[seg_of_block])
-        blk_max64 = np.maximum.reduceat(tn, block_starts)
-        blk_max32 = blk_max64.astype(np.float32)
-        low = blk_max32.astype(np.float64) < blk_max64
-        blk_max32[low] = np.nextafter(blk_max32[low], np.float32(np.inf))
-        # NOTE: block offsets below are SEGMENT-RELATIVE (encode_postings
-        # in encoding.py writes absolute offsets for standalone blobs);
-        # the in-process scorers recompute merged-stream bounds, so this
-        # metadata serves per-shard skip-decode serving at cluster scale
-        blk_last_all = ids[block_ends - 1]
-        blk_doc_all = (doc_off[block_starts]
-                       - doc_off[seg_starts[seg_of_block]]).astype(np.int64)
-        blk_tf_all = (tf_off[block_starts]
-                      - tf_off[seg_starts[seg_of_block]]).astype(np.int64)
 
         from search_engine_ray.ids import term_bucket as _tb
 
@@ -680,7 +644,6 @@ class FinalizeBucket:
             if verdict is None:
                 continue  # pruned by dictionary rules
             s, e = seg_starts[k], seg_ends[k]
-            fb, nb = first_block[k], nblocks[k]
             out["shard"].append(int(seg_shard[s]))
             # bucket keyed by the FINAL term so query-side pruning finds
             # capitals-rewritten terms too
@@ -701,14 +664,9 @@ class FinalizeBucket:
             out["tf_vb"].append(tf_buf[tf_off[s]:tf_off[e]])
             out["dl_vb"].append(dl_buf[dl_off[s]:dl_off[e]])
             out["mtf_vb"].append(mtf_buf[mtf_off[s]:mtf_off[e]])
-            out["uniq_vb"].append(uniq_buf[uniq_off[s]:uniq_off[e]])
             out["pos_vb"].append(
                 pos_buf[pos_boff[pos_out_off[s]]:pos_boff[pos_out_off[e]]]
                 if self.cfg.positions else b"")
-            out["blk_last"].append(blk_last_all[fb:fb + nb].tobytes())
-            out["blk_max"].append(blk_max32[fb:fb + nb].tobytes())
-            out["blk_doc_off"].append(blk_doc_all[fb:fb + nb].tobytes())
-            out["blk_tf_off"].append(blk_tf_all[fb:fb + nb].tobytes())
         # the capitals UPPER rewrite is not injective (two distinct orig
         # terms — e.g. 'straße' and 'strasse' — can share a final UPPER
         # term and, with 1/term_buckets probability, this partition).
@@ -973,7 +931,7 @@ def _run_part_tasks(work, task_fn, *, out_dir: str, stage: str,
 
 
 def _reduce_postings_part(part_dir: str, dict_part_path: str,
-                          postings_root: str, avg_dl: float,
+                          postings_root: str,
                           cfg: EngineConfig) -> dict:
     """Reduce ONE (tbucket, sshard) spill partition into its final posting
     file(s), atomically renamed into place.  Output bytes are
@@ -1003,8 +961,8 @@ def _reduce_postings_part(part_dir: str, dict_part_path: str,
                             dt.column("df").to_pylist())))
     df = pq.read_table(
         part_dir, columns=["term", "n", "docids", "tfs", "dls", "mtfs",
-                           "uniqs", "poss"]).to_pandas()
-    tbl = finalize_group(df, term_map, tb, avg_dl, cfg)
+                           "poss"]).to_pandas()
+    tbl = finalize_group(df, term_map, tb, cfg)
     rows = 0
     if tbl.num_rows:
         for out_tb in pc.unique(tbl.column("tbucket")).to_pylist():
@@ -1434,7 +1392,7 @@ def build_index(input_path, out_dir: str, config: EngineConfig | None = None,
                 tb = int(os.path.basename(parent).rsplit("=", 1)[1])
                 return os.path.join(dict_dir, f"part-kbucket={tb}.parquet")
 
-            work = [(part_key(d), (d, dict_path(d), postings_dir, avg_dl, cfg))
+            work = [(part_key(d), (d, dict_path(d), postings_dir, cfg))
                     for d in part_dirs if part_key(d) not in done]
             _run_part_tasks(work, _reduce_postings_part, out_dir=out_dir,
                             stage="postings", input_fp=input_fp,

@@ -1,4 +1,4 @@
-"""Posting-list compression: delta + varbyte, with block-max metadata.
+"""Posting-list compression: delta + varbyte.
 
 The reference stores postings as pickled Python tuple lists
 (/root/reference/indexer.py:89-101, utils.py:14-27).  The rebuild encodes
@@ -6,13 +6,14 @@ each (shard, term) posting list as columnar byte streams:
 
 - doc ids: strictly-increasing int64 -> delta -> varbyte (LEB128-style,
   7 data bits/byte, little-endian groups, high bit = continuation);
-- tf / doc_length / max_tf / unique_terms: varbyte streams;
-- block-max metadata every ``block_size`` postings: last doc id, max
-  BM25 tf-norm (idf excluded — applied at query time), and byte offsets
-  into the doc-id and tf streams.  No reader uses it: the query engine
-  serves postings from a sidecar decoded once per index
-  (query/engine.py), and its block-max WAND recomputes block bounds on
-  the decoded arrays.
+- tf / doc_length / max_tf: varbyte streams, the stats the scorers read
+  (the reference tuple's unique_terms lives in docmeta instead);
+- positions (optional): per-posting sublists, within-sublist delta +
+  varbyte.
+
+Block-max bounds are not stored: the query engine serves postings from
+a sidecar decoded once per index (query/engine.py), and its block-max
+WAND derives block bounds from the decoded arrays at query time.
 
 All encode/decode paths are numpy-vectorized (no per-value Python loops;
 the inner loops below run at most ceil(64/7)=10 iterations of whole-array
@@ -163,67 +164,30 @@ def sublist_gather(counts, order) -> tuple[np.ndarray, np.ndarray]:
     return gather, out_off
 
 
-class EncodedPostings:
-    """One (shard, term) posting list, encoded."""
-
-    __slots__ = ("n", "docids_vb", "tf_vb", "dl_vb", "mtf_vb", "uniq_vb",
-                 "pos_vb", "blk_last", "blk_max", "blk_doc_off",
-                 "blk_tf_off")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
-
-
 def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
-                    mtfs: np.ndarray, uniqs: np.ndarray, *, avg_dl: float,
-                    k1: float, b: float, block_size: int,
-                    positions: np.ndarray | None = None) -> EncodedPostings:
-    """doc_ids must be sorted ascending (reference sorts postings by id at
-    merge, /root/reference/indexer.py:219).  ``positions`` (optional) is
-    the flat within-doc position stream whose i-th sublist has tfs[i]
-    values."""
-    n = len(doc_ids)
-    docids_vb, doc_off = varbyte_encode(delta_encode(doc_ids))
-    tf_vb, tf_off = varbyte_encode(tfs)
-    dl_vb, _ = varbyte_encode(dls)
-    mtf_vb, _ = varbyte_encode(mtfs)
-    uniq_vb, _ = varbyte_encode(uniqs)
-    pos_vb = (encode_position_lists(np.asarray(positions, dtype=np.int64),
-                                    np.asarray(tfs, dtype=np.int64))
-              if positions is not None else b"")
-
-    tn = tf_norm(np.asarray(tfs), np.asarray(dls, dtype=np.float64),
-                 avg_dl, k1, b)
-    starts = np.arange(0, n, block_size)
-    lasts = np.minimum(starts + block_size, n) - 1
-    blk_last = np.asarray(doc_ids)[lasts].astype(np.int64)
-    blk_max64 = np.array(
-        [tn[s:e + 1].max() for s, e in zip(starts, lasts)], dtype=np.float64
-    )
-    # float32 storage must stay a true UPPER bound: round up where the
-    # nearest-float32 cast rounded down (WAND prunes on these)
-    blk_max = blk_max64.astype(np.float32)
-    low = blk_max.astype(np.float64) < blk_max64
-    blk_max[low] = np.nextafter(blk_max[low], np.float32(np.inf))
-    # int64: a single (term, shard) segment's varbyte stream can exceed
-    # 2 GiB for a head term at cluster scale; int32 offsets would silently
-    # overflow and corrupt the block-skip metadata
-    blk_doc_off = doc_off[starts].astype(np.int64)
-    blk_tf_off = tf_off[starts].astype(np.int64)
-    return EncodedPostings(
-        n=n, docids_vb=docids_vb, tf_vb=tf_vb, dl_vb=dl_vb,
-        mtf_vb=mtf_vb, uniq_vb=uniq_vb, pos_vb=pos_vb,
-        blk_last=blk_last.tobytes(), blk_max=blk_max.tobytes(),
-        blk_doc_off=blk_doc_off.tobytes(), blk_tf_off=blk_tf_off.tobytes(),
-    )
+                    mtfs: np.ndarray,
+                    positions: np.ndarray | None = None) -> dict:
+    """One term's posting row, as the reduce writes it and
+    ``decode_postings`` reads it.  doc_ids must be sorted ascending
+    (the reference sorts postings by id at merge, indexer.py:219).
+    ``positions`` (optional) is the flat within-doc position stream
+    whose i-th sublist has tfs[i] values."""
+    return {
+        "n": len(doc_ids),
+        "docids_vb": varbyte_encode(delta_encode(doc_ids))[0],
+        "tf_vb": varbyte_encode(tfs)[0],
+        "dl_vb": varbyte_encode(dls)[0],
+        "mtf_vb": varbyte_encode(mtfs)[0],
+        "pos_vb": (encode_position_lists(np.asarray(positions, np.int64),
+                                         np.asarray(tfs, np.int64))
+                   if positions is not None else b""),
+    }
 
 
 def decode_postings(row: dict) -> dict:
     """Inverse of encode_postings over a finalized posting row (dict with
-    the binary fields).  Returns dict of numpy arrays.  ``n`` and the
-    doc-id/tf/dl/mtf streams are required; ``uniq_vb``, the ``blk_*``
-    fields and ``pos_vb`` are decoded only when the row carries them."""
+    the binary fields).  Returns dict of numpy arrays; ``pos_vb`` is
+    decoded only when the row carries positions."""
     n = int(row["n"])
     deltas = varbyte_decode(row["docids_vb"], count=n)
     tfs = varbyte_decode(row["tf_vb"], count=n)
@@ -233,12 +197,6 @@ def decode_postings(row: dict) -> dict:
         "dls": varbyte_decode(row["dl_vb"], count=n),
         "mtfs": varbyte_decode(row["mtf_vb"], count=n),
     }
-    if "uniq_vb" in row:
-        out["uniqs"] = varbyte_decode(row["uniq_vb"], count=n)
-    for k, dt in (("blk_last", np.int64), ("blk_max", np.float32),
-                  ("blk_doc_off", np.int64), ("blk_tf_off", np.int64)):
-        if k in row:
-            out[k] = np.frombuffer(row[k], dtype=dt)
     if row.get("pos_vb"):
         pos, pos_off = decode_position_lists(row["pos_vb"], tfs)
         out["pos"] = pos

@@ -71,10 +71,11 @@ from search_engine_ray.index.build import (
     _reduce_postings_part,
     _run_part_tasks,
     _spill_base,
+    dict_rows,
 )
 
 _POSTING_COLS = ["shard", "term", "orig", "n", "docids_vb", "tf_vb",
-                 "dl_vb", "mtf_vb", "uniq_vb", "pos_vb"]
+                 "dl_vb", "mtf_vb", "pos_vb"]
 
 
 def _rebase_docids(n: np.ndarray, docids_blobs: list
@@ -117,7 +118,7 @@ def _decode_run_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
 
     The per-(term, doc-shard) delta+varbyte doc-id stream decodes back
     to absolute ids with ONE vectorized pass over the whole batch (flat
-    decode, then a segment-rebased cumulative sum); the tf/dl/mtf/uniq/
+    decode, then a segment-rebased cumulative sum); the tf/dl/mtf/
     position varbyte streams are reused byte-for-byte (they encode
     plain per-posting values in the exact order FinalizeBucket will
     re-sort from)."""
@@ -136,7 +137,6 @@ def _decode_run_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
         "tfs": batch.column("tf_vb").cast(pa.binary()),
         "dls": batch.column("dl_vb").cast(pa.binary()),
         "mtfs": batch.column("mtf_vb").cast(pa.binary()),
-        "uniqs": batch.column("uniq_vb").cast(pa.binary()),
         "poss": batch.column("pos_vb").cast(pa.binary()),
         "df_part": pa.nulls(rows, pa.int64()),
         "caps_part": pa.nulls(rows, pa.int8()),
@@ -152,25 +152,8 @@ def _dict_partial_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
     re-emitting it as a caps partial makes the merged reduce's min()
     recompute exactly the union verdict.  Reserved ``\\x01`` corpus-stat
     rows ride through with summed df, same as in a direct build."""
-    origs = batch.column("orig_term").to_pylist()
-    rows = len(origs)
-    caps = batch.column("rewritten").to_numpy(
-        zero_copy_only=False).astype(np.int8)
-    return pa.table({
-        "tbucket": _bucket_array(origs, term_buckets),
-        "sshard": pa.array(np.full(rows, -1, np.int32)),
-        "term": pa.array(origs, pa.string()),
-        "n": pa.nulls(rows, pa.int64()),
-        "docids": pa.nulls(rows, pa.binary()),
-        "tfs": pa.nulls(rows, pa.binary()),
-        "dls": pa.nulls(rows, pa.binary()),
-        "mtfs": pa.nulls(rows, pa.binary()),
-        "uniqs": pa.nulls(rows, pa.binary()),
-        "poss": pa.nulls(rows, pa.binary()),
-        "df_part": batch.column("df").cast(pa.int64()),
-        "caps_part": pa.array(caps, pa.int8()),
-        "ent_part": pa.nulls(rows, pa.int64()),
-    }).cast(RUN_SCHEMA)
+    return dict_rows(batch.column("orig_term"), term_buckets,
+                     df=batch.column("df"), caps=batch.column("rewritten"))
 
 
 def _run_phase_b(out_dir: str, spill_dir: str, cfg: EngineConfig,
@@ -243,7 +226,7 @@ def _run_phase_b(out_dir: str, spill_dir: str, cfg: EngineConfig,
             tb = int(os.path.basename(parent).rsplit("=", 1)[1])
             return os.path.join(dict_dir, f"part-kbucket={tb}.parquet")
 
-        work = [(part_key(d), (d, dict_path(d), postings_dir, avg_dl, cfg))
+        work = [(part_key(d), (d, dict_path(d), postings_dir, cfg))
                 for d in part_dirs if part_key(d) not in done]
         _run_part_tasks(work, _reduce_postings_part, out_dir=out_dir,
                         stage="postings", input_fp=input_fp,
@@ -382,13 +365,12 @@ def _filtered_run_rows(batch: pa.Table, del_ids: np.ndarray,
     tfs = varbyte_decode(b"".join(batch.column("tf_vb").to_pylist()),
                          count=total)
     streams = {}
-    for name in ("dl_vb", "mtf_vb", "uniq_vb"):
+    for name in ("dl_vb", "mtf_vb"):
         streams[name] = varbyte_decode(
             b"".join(batch.column(name).to_pylist()), count=total)
     enc = {"tfs": varbyte_encode(tfs[keep]),
            "dls": varbyte_encode(streams["dl_vb"][keep]),
-           "mtfs": varbyte_encode(streams["mtf_vb"][keep]),
-           "uniqs": varbyte_encode(streams["uniq_vb"][keep])}
+           "mtfs": varbyte_encode(streams["mtf_vb"][keep])}
     ids_kept = ids[keep]
     nstarts = np.concatenate(([0], np.cumsum(new_n)[:-1])).astype(np.int64)
     nends = nstarts + new_n
@@ -431,7 +413,6 @@ def _filtered_run_rows(batch: pa.Table, del_ids: np.ndarray,
         "tfs": pa.array(slice_stream("tfs"), pa.binary()),
         "dls": pa.array(slice_stream("dls"), pa.binary()),
         "mtfs": pa.array(slice_stream("mtfs"), pa.binary()),
-        "uniqs": pa.array(slice_stream("uniqs"), pa.binary()),
         "poss": pa.array(poss, pa.binary()),
         "df_part": pa.nulls(k, pa.int64()),
         "caps_part": pa.nulls(k, pa.int8()),
@@ -439,21 +420,7 @@ def _filtered_run_rows(batch: pa.Table, del_ids: np.ndarray,
     }).cast(RUN_SCHEMA)
     # df partials: surviving posting count per row (summed per orig term
     # by the dict reduce — each posting is one doc)
-    dfp = pa.table({
-        "tbucket": runs.column("tbucket"),
-        "sshard": pa.array(np.full(k, -1, np.int32)),
-        "term": runs.column("term"),
-        "n": pa.nulls(k, pa.int64()),
-        "docids": pa.nulls(k, pa.binary()),
-        "tfs": pa.nulls(k, pa.binary()),
-        "dls": pa.nulls(k, pa.binary()),
-        "mtfs": pa.nulls(k, pa.binary()),
-        "uniqs": pa.nulls(k, pa.binary()),
-        "poss": pa.nulls(k, pa.binary()),
-        "df_part": pa.array(new_n[alive], pa.int64()),
-        "caps_part": pa.nulls(k, pa.int8()),
-        "ent_part": pa.nulls(k, pa.int64()),
-    }).cast(RUN_SCHEMA)
+    dfp = dict_rows(runs.column("term"), term_buckets, df=new_n[alive])
     return pa.concat_tables([runs, dfp])
 
 
@@ -461,12 +428,12 @@ def _caps_partial_rows(batch: pa.Table, term_buckets: int) -> pa.Table:
     """Dict rows -> caps-only partials (df comes from the surviving
     postings; reserved stats rows are re-derived from docmeta), for the
     delete path."""
-    t = _dict_partial_rows(batch, term_buckets)
     import pyarrow.compute as pc
 
-    t = t.filter(pc.invert(pc.starts_with(t.column("term"), "\x01")))
-    i = t.schema.get_field_index("df_part")
-    return t.set_column(i, "df_part", pa.nulls(t.num_rows, pa.int64()))
+    batch = batch.filter(pc.invert(pc.starts_with(batch.column("orig_term"),
+                                                  "\x01")))
+    return dict_rows(batch.column("orig_term"), term_buckets,
+                     caps=batch.column("rewritten"))
 
 
 def _copy_file_task(src_f: str, dst_f: str) -> dict:
@@ -507,7 +474,7 @@ def delete_docs(src_dir: str, doc_ids, out_dir: str) -> dict:
     the deleted docs' rows masked out vectorized; per-term df is
     recomputed from the surviving postings (the df==1 prune re-applies
     to the new df when the config asks for it); corpus stats
-    (n_docs / avg_dl, which re-derive every BM25 block bound) come from
+    (n_docs / sum_dl, which set every BM25 length norm) come from
     the filtered docmeta.  Boundary (documented like the merge's): the
     capitals UPPER-verdict keeps the ORIGINAL corpus's decision — the
     caps flags of deleted docs are not un-counted (same class as

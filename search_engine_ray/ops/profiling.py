@@ -210,8 +210,8 @@ def index_storage_profile(index_dir: str):
     assumption (term-hash buckets x doc shards bound reducer volume and
     head-term skew; see index/build.py module docstring).  One row per
     tbucket: posting SEGMENTS (term x doc-shard rows), total postings,
-    bytes per varbyte stream family (docids / per-posting stats /
-    block-max metadata / positions), and the docid compression ratio
+    bytes per varbyte stream family (docids / per-posting tf, doc
+    length and max-tf stats / positions), and the docid compression ratio
     ``cr_docids_e4 = floor(docids_bytes * 1e4 / (8 * postings))``
     (varbyte+delta vs raw int64, e4 fixed-point).  A skewed tbucket —
     postings far above the mean — is the signal to raise term_buckets
@@ -226,9 +226,8 @@ def index_storage_profile(index_dir: str):
 
     import pyarrow.compute as pc
 
-    stats_cols = ("tf_vb", "dl_vb", "mtf_vb", "uniq_vb")
-    blk_cols = ("blk_last", "blk_max", "blk_doc_off", "blk_tf_off")
-    need = ["n", "docids_vb", "pos_vb", *stats_cols, *blk_cols]
+    stats_cols = ("tf_vb", "dl_vb", "mtf_vb")
+    need = ["n", "docids_vb", "pos_vb", *stats_cols]
 
     ds = ray.data.read_parquet(os.path.join(index_dir, "postings"),
                                columns=need + ["tbucket"])
@@ -236,7 +235,6 @@ def index_storage_profile(index_dir: str):
     out_fields = [("tbucket", pa.int64()), ("segments", pa.int64()),
                   ("postings", pa.int64()), ("docids_bytes", pa.int64()),
                   ("stats_bytes", pa.int64()),
-                  ("blockmeta_bytes", pa.int64()),
                   ("pos_bytes", pa.int64())]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -255,9 +253,6 @@ def index_storage_profile(index_dir: str):
         sby = np.zeros(len(tb), dtype=np.int64)
         for c in stats_cols:
             sby += blen(c)
-        bby = np.zeros(len(tb), dtype=np.int64)
-        for c in blk_cols:
-            bby += blen(c)
         pby = blen("pos_vb")
         order = np.argsort(tb, kind="stable")
         tb_o = tb[order]
@@ -271,7 +266,6 @@ def index_storage_profile(index_dir: str):
             "postings": pa.array(red(n), pa.int64()),
             "docids_bytes": pa.array(red(dby), pa.int64()),
             "stats_bytes": pa.array(red(sby), pa.int64()),
-            "blockmeta_bytes": pa.array(red(bby), pa.int64()),
             "pos_bytes": pa.array(red(pby), pa.int64())})
 
     agg = (ds.map_batches(partial, batch_format="pyarrow")
@@ -280,8 +274,6 @@ def index_storage_profile(index_dir: str):
                       Sum("postings", alias_name="postings"),
                       Sum("docids_bytes", alias_name="docids_bytes"),
                       Sum("stats_bytes", alias_name="stats_bytes"),
-                      Sum("blockmeta_bytes",
-                          alias_name="blockmeta_bytes"),
                       Sum("pos_bytes", alias_name="pos_bytes")))
 
     def finish(batch: pa.Table) -> pa.Table:

@@ -72,9 +72,11 @@ class DistributedSearchEngine:
         S = self.cfg.num_shards
         num_actors = min(num_actors, S)
         # derive the shared cache/ files once, here: the actors then map
-        # them instead of each writing the ones its first queries touch
+        # them instead of each writing the ones its first queries touch.
+        # Any call may ask for mode="reference", so the docmeta sidecar
+        # carries the GloVe matrix too.
         warm_postings_sidecars(out_dir)
-        warm_docmeta_sidecar(out_dir)
+        warm_docmeta_sidecar(out_dir, with_glove=True)
         actor = ray.remote(SearchEngine)
         self.actors = [actor.remote(out_dir,
                                     shards=list(range(i, S, num_actors)))

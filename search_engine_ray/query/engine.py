@@ -16,8 +16,9 @@ Two scorers over the same sharded index:
   bounds recomputed on the merged arrays at query time; rank-identical
   to ``bm25`` (property-tested).  On zipf-headed corpora with short
   queries the block maxima are flat and skipping rarely fires, so
-  vectorized TAAT is the faster default.  The ``blk_*`` columns the
-  build writes into each posting row are not read by any reader.
+  vectorized TAAT is the faster default.  The index stores no block
+  metadata; ``EngineConfig.block_size`` sets the query-time block
+  length.
 
 Results are ``(score, doc_id, ts_us)`` ascending by (score, ts, id),
 last k — the reference's exact output order (ranker.py:46-63).

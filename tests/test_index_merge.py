@@ -363,6 +363,30 @@ def test_delete_docs_reapplies_df1_prune(ray_session, tmp_path):
     assert df["words"] == 2
 
 
+def test_posting_format_is_what_readers_read(merged_setup, delete_setup):
+    """Build, merge and delete write the same posting columns: the
+    doc-id/tf/dl/max-tf/position streams the engine's sidecar and
+    fsck decode, and no per-posting unique-term count or stored
+    block-max metadata.  The SPIMI spill carries no unique-term
+    stream either."""
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.index.build import RUN_SCHEMA
+
+    want = {"shard", "term", "orig", "df_global", "n", "docids_vb",
+            "tf_vb", "dl_vb", "mtf_vb", "pos_vb"}
+    midx, _, _ = merged_setup
+    didx, _, _ = delete_setup
+    for label, root in (("build", midx["all"]), ("merge", midx["merged"]),
+                        ("delete", didx["deleted"])):
+        files = glob.glob(os.path.join(root, "postings", "**", "*.parquet"),
+                          recursive=True)
+        assert files, label
+        for f in files:
+            assert set(pq.read_schema(f).names) == want, (label, f)
+    assert "uniqs" not in RUN_SCHEMA.names
+
+
 def test_delete_all_docs_yields_empty_index(delete_setup, tmp_path):
     import pyarrow.dataset as pads
 

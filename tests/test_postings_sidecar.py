@@ -454,8 +454,9 @@ def test_fsck_checks_sidecar_streams(pos_index, tmp_path):
 
 def test_distributed_engine_warms_sidecars(built_index, tmp_path):
     """The distributed engine derives every bucket's postings sidecar
-    (and the docmeta sidecar) on the driver before its actors start:
-    the actors' queries then leave cache/ untouched."""
+    (and the docmeta sidecar, GloVe included) on the driver before its
+    actors start: the actors' queries, reference mode too, then leave
+    cache/ untouched."""
     from search_engine_ray.fixtures import gen_queries
     from search_engine_ray.query.distributed import DistributedSearchEngine
     from search_engine_ray.query.engine import postings_sidecar_paths
@@ -477,4 +478,5 @@ def test_distributed_engine_warms_sidecars(built_index, tmp_path):
     before = snapshot()
     for q in gen_queries():
         dist.search(q, k=10, mode="bm25")
+    dist.search(gen_queries()[0], k=10, mode="reference")
     assert snapshot() == before

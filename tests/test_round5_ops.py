@@ -39,18 +39,13 @@ def test_encode_postings_with_positions_roundtrip():
     tfs = np.array([2, 1, 3, 1], np.int64)
     dls = np.array([10, 5, 30, 8], np.int64)
     pos = np.array([0, 7, 4, 1, 5, 29, 2], np.int64)  # sublists 2/1/3/1
-    enc = encode_postings(doc_ids, tfs, dls, tfs.copy(), tfs.copy(),
-                          avg_dl=10.0, k1=1.2, b=0.75, block_size=2,
-                          positions=pos)
-    row = {k: getattr(enc, k) for k in enc.__slots__}
-    dec = decode_postings(row)
+    dec = decode_postings(encode_postings(doc_ids, tfs, dls, tfs.copy(),
+                                          positions=pos))
     assert np.array_equal(dec["doc_ids"], doc_ids)
     assert np.array_equal(dec["pos"], pos)
     assert np.array_equal(dec["pos_off"], [0, 2, 3, 6, 7])
     # without positions: no pos key, everything else intact
-    enc2 = encode_postings(doc_ids, tfs, dls, tfs.copy(), tfs.copy(),
-                           avg_dl=10.0, k1=1.2, b=0.75, block_size=2)
-    dec2 = decode_postings({k: getattr(enc2, k) for k in enc2.__slots__})
+    dec2 = decode_postings(encode_postings(doc_ids, tfs, dls, tfs.copy()))
     assert "pos" not in dec2
     assert np.array_equal(dec2["doc_ids"], doc_ids)
 
@@ -1339,7 +1334,8 @@ def test_dsir_logratio_prefers_target_lang(ray_session, tmp_path):
 def test_index_storage_profile_invariants(ray_session, built_index):
     """Profile totals must reconcile exactly with the postings parquet:
     segments == file rows, postings == sum(n), byte totals == actual
-    binary lengths; the compression ratio is positive and below raw."""
+    binary lengths (doc ids, and the tf/dl/mtf stat streams); the
+    compression ratio is positive and below raw."""
     import glob as _glob
     import os
 
@@ -1352,12 +1348,15 @@ def test_index_storage_profile_invariants(ray_session, built_index):
     got = index_storage_profile(out_dir).to_pandas()
     files = _glob.glob(os.path.join(out_dir, "postings", "**",
                                     "*.parquet"), recursive=True)
-    t = pq.read_table(files, columns=["n", "docids_vb"])
+    stats_cols = ["tf_vb", "dl_vb", "mtf_vb"]
+    t = pq.read_table(files, columns=["n", "docids_vb", *stats_cols])
     assert int(got["segments"].sum()) == t.num_rows
     assert int(got["postings"].sum()) == int(
         pd.Series(t.column("n").to_pylist()).sum())
     assert int(got["docids_bytes"].sum()) == int(
         sum(len(x) for x in t.column("docids_vb").to_pylist()))
+    assert int(got["stats_bytes"].sum()) == sum(
+        len(x) for c in stats_cols for x in t.column(c).to_pylist())
     nz = got[got["postings"] > 0]
     assert (nz["cr_docids_e4"] > 0).all()
     assert (nz["cr_docids_e4"] < 80000).all()  # strictly beats raw int64
