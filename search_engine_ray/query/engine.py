@@ -10,7 +10,12 @@ Two scorers over the same sharded index:
   (searcher.py:67-68) and idf=log10(N/df) with 0 for unknown terms
   (searcher.py:56-60, 126-136).  Vectorized over the candidate set.
 - ``mode="bm25"`` — the scale-path scorer: pure BM25 with real tf,
-  term-at-a-time vectorized accumulation.
+  term-at-a-time vectorized accumulation.  ``union_scores`` is the one
+  union kernel (TAAT, proximity-boosted and NRT search): a stable
+  argsort merges the query terms' doc-sorted posting runs and
+  ``bincount`` sums each doc's contributions in query-term order, bit
+  for bit what ``np.unique`` + ``bincount`` gave.  The top-k prunes by
+  score (``_score_keep``) before the docmeta ts gather.
 - ``mode="bm25_wand"`` — same scores via block-max WAND (Ding & Suel's
   published BMW algorithm) over merged per-term streams with block
   bounds recomputed on the merged arrays at query time; rank-identical
@@ -573,8 +578,10 @@ class SearchEngine:
         if not _sidecar_fresh(meta_p, "ts", self._docmeta_ds):
             _write_sidecar(self._out_dir, self._docmeta_ds,
                            self.cfg.glove_dim, with_glove=False)
-        self._meta = {"ids": np.load(ids_p, mmap_mode="r"),
-                      "ts": np.load(ts_p, mmap_mode="r")}
+        # plain ndarray views of the mappings: np.memmap's Python
+        # __getitem__/__array_finalize__ hooks would run on every gather
+        self._meta = {"ids": np.load(ids_p, mmap_mode="r").view(np.ndarray),
+                      "ts": np.load(ts_p, mmap_mode="r").view(np.ndarray)}
 
     def _ensure_glove(self):
         if self._meta_glove is not None:
@@ -585,7 +592,7 @@ class SearchEngine:
                            self.cfg.glove_dim, with_glove=True)
             self._meta = None
             self._ensure_meta()
-        self._meta_glove = np.load(glove_p, mmap_mode="r")
+        self._meta_glove = np.load(glove_p, mmap_mode="r").view(np.ndarray)
 
     # ---------------------------------------------------------- postings
     def _bucket(self, b: int) -> "_BucketPostings | None":
@@ -760,7 +767,7 @@ class SearchEngine:
         if n == 0:
             return (np.zeros(len(doc_ids), np.int64),
                     np.zeros(len(doc_ids), bool))
-        pos = np.clip(np.searchsorted(self._meta["ids"], doc_ids), 0, n - 1)
+        pos = np.minimum(np.searchsorted(self._meta["ids"], doc_ids), n - 1)
         found = self._meta["ids"][pos] == doc_ids
         return pos, found
 
@@ -991,16 +998,9 @@ class SearchEngine:
             contrib_parts.append(pc_[1])
         if not id_parts:
             return []
-        if len(id_parts) == 1:
-            # zero-copy cached contrib: `scores + boost` below allocates
-            # the result, the cache array is never mutated
-            cand, scores = id_parts[0], contrib_parts[0]
-        else:
-            ids = np.concatenate(id_parts)
-            contribs = np.concatenate(contrib_parts)
-            cand, inv = np.unique(ids, return_inverse=True)
-            scores = np.bincount(inv, weights=contribs,
-                                 minlength=len(cand))
+        # a single term's cached contrib comes back zero-copy: `scores +
+        # boost` below allocates the result, the cache is never mutated
+        cand, scores = union_scores(id_parts, contrib_parts)
         boost = np.zeros(len(cand))
         for t1, t2 in adjacent_term_pairs(query):
             p1, p2 = self.postings(t1), self.postings(t2)
@@ -1325,14 +1325,7 @@ class SearchEngine:
             contrib_parts.append(pc_[1] if w == 1.0 else pc_[1] * w)
         if not id_parts:
             return []
-        if len(id_parts) == 1:
-            # single-term fast path: postings are already sorted + unique
-            cand, scores = id_parts[0], contrib_parts[0]
-        else:
-            ids = np.concatenate(id_parts)
-            contribs = np.concatenate(contrib_parts)
-            cand, inv = np.unique(ids, return_inverse=True)
-            scores = np.bincount(inv, weights=contribs, minlength=len(cand))
+        cand, scores = union_scores(id_parts, contrib_parts)
         if must is not None:
             # phrase gate BEFORE the top-k boundary (both sides sorted
             # unique, so membership is one linear merge)
@@ -1581,15 +1574,44 @@ def expand_synonyms(query: list[str],
     return expanded
 
 
+def union_scores(id_parts: list[np.ndarray],
+                 contrib_parts: list[np.ndarray]):
+    """``(cand, scores)``: the sorted union of the parts' doc ids and,
+    per doc, the sum of its contributions in part order.
+
+    Each part lists a doc at most once; it is one or a few doc-sorted
+    runs (a SearchEngine posting list is one, an NRT term's base +
+    segment ids are two).  A stable argsort (timsort merges the runs)
+    keeps a doc's postings in part order, and ``bincount`` adds them
+    sequentially from 0.0, so every doc sums ``0 + c1 + c2 + ...`` in
+    query-term order — bit-identical to ``np.unique(return_inverse=True)``
+    + ``bincount``, without re-sorting the runs.  (``np.add.reduceat``
+    would add pairwise and drift in the last bits.)  A single part is
+    returned as is, zero-copy."""
+    if len(id_parts) == 1:
+        return id_parts[0], contrib_parts[0]
+    ids = np.concatenate(id_parts)
+    o = ids.argsort(kind="stable")
+    ids = ids[o]
+    first = np.empty(len(ids), bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    cand = ids[first]
+    scores = np.bincount(np.cumsum(first) - 1,
+                         weights=np.concatenate(contrib_parts)[o],
+                         minlength=len(cand))
+    return cand, scores
+
+
 def _score_keep(scores: np.ndarray, k: int) -> np.ndarray | None:
     """Indices of the candidates whose score >= the k-th-best score
-    (O(n) argpartition; score-boundary TIES are all kept, so the
-    (ts, doc_id) tie-break stays exact), or None when there are at most
-    4k candidates and a prune would not pay."""
+    (the O(n) ``np.partition`` value at n-k; score-boundary TIES are all
+    kept, so the (ts, doc_id) tie-break stays exact), or None when there
+    are at most 4k candidates and a prune would not pay."""
     n = len(scores)
     if k <= 0 or n <= 4 * k:
         return None
-    s_k = scores[np.argpartition(scores, n - k)[n - k]]
+    s_k = np.partition(scores, n - k)[n - k]
     return np.flatnonzero(scores >= s_k)
 
 

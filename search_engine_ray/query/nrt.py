@@ -29,8 +29,11 @@ arrays, O(segment terms + segment docs), with no posting conversion; it
 is all a refresh keeps, so its state is bounded by the segment.  A
 search converts and scores only the terms it touches: each touched
 term's segment postings are converted and joined to its base postings
-(read through the engine's bounded posting cache) on every search.
-Candidates are pruned by score before the ts gather, as in
+(read through the engine's bounded posting cache) on every search, so
+each term is two doc-sorted runs, base then segment.  The terms are
+joined by ``SearchEngine``'s union kernel (``union_scores``, which
+merges the runs with a stable sort and sums in query-term order), and
+candidates are pruned by score before the ts gather, as in
 ``SearchEngine``'s TAAT path.
 
 At cluster scale the segment is per-ingest-actor state (the same
@@ -50,7 +53,8 @@ from search_engine_ray.ids import doc_id_for_url
 from search_engine_ray.index import manifest as mf
 from search_engine_ray.index.encoding import tf_norm
 from search_engine_ray.oracle import OracleIndex
-from search_engine_ray.query.engine import SearchEngine, _topk_by_score
+from search_engine_ray.query.engine import (SearchEngine, _topk_by_score,
+                                           union_scores)
 
 
 class _Segment(NamedTuple):
@@ -203,16 +207,11 @@ class NrtSearchEngine:
                  if c is not None]
         if not parts:
             return []
-        if len(parts) == 1:
-            # single-term fast path: the ids are unique (base and segment
-            # are disjoint and each lists a doc once)
-            cand, scores = parts[0]
-        else:
-            ids = np.concatenate([p[0] for p in parts])
-            contribs = np.concatenate([p[1] for p in parts])
-            cand, inv = np.unique(ids, return_inverse=True)
-            scores = np.bincount(inv, weights=contribs,
-                                 minlength=len(cand))
+        # each part lists a doc once (base and segment are disjoint), as
+        # two doc-sorted runs; a single part's ids stay in that order,
+        # which the top-k does not need sorted
+        cand, scores = union_scores([p[0] for p in parts],
+                                    [p[1] for p in parts])
         return _topk_by_score(scores, cand, k, self._ts_of)
 
     # ------------------------------------------------------------- flush

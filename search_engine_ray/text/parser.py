@@ -103,8 +103,9 @@ class Parser:
             # e.g. 'nank'/'infm' must fall through to the kbm branch),
             # except the two lowercase keywords 'percent(age)' and
             # 'https' which are excluded here.  Behavior is
-            # byte-identical to the general loop below
-            # (differential-fuzz tested).
+            # byte-identical to the general loop below (seeded
+            # differential test against a copy without this branch,
+            # tests/test_parser.py).
             if (token.isalpha() and token.isascii() and token.islower()
                     and token != "https" and token not in _PERCENT_WORDS
                     and not (token[-1] in "kmb"

@@ -146,8 +146,11 @@ def treebank_tokenize(text: str) -> list[str]:
     # doc-level screen: the MacIntyre words are rare; one scan here skips
     # the per-sentence split work for ~99% of docs
     has_contr = _has_contraction(text)
+    # both split lookbehinds need a '.', '!' or '?'; most docs have none
+    sents = (_SENT_SPLIT.split(text)
+             if "." in text or "!" in text or "?" in text else (text,))
     out: list[str] = []
-    for sent in _SENT_SPLIT.split(text):
+    for sent in sents:
         if sent:
             out.extend(_treebank_sentence(sent, has_contr))
     return out

@@ -132,3 +132,53 @@ def test_tweet_row_parse():
     d = p.parse_tweet_row(row)
     assert "example.org" in d.tokens and "quoted" in d.tokens
     assert p.parse_tweet_row(["1", None, "text"]) is None
+
+
+def _general_loop_parser(**kw):
+    """A Parser whose ``parse_sentence`` is a copy with the lowercase
+    fast-path guard forced off, so every token takes the general loop."""
+    import inspect
+    import textwrap
+
+    from search_engine_ray.text import parser as parser_mod
+
+    src = textwrap.dedent(inspect.getsource(Parser.parse_sentence))
+    guard = "if (token.isalpha() and token.isascii() and token.islower()"
+    assert src.count(guard) == 1
+    src = src.replace(guard, "if False and (token.isalpha()"
+                             " and token.isascii() and token.islower()")
+    ns = dict(vars(parser_mod))
+    exec(src, ns)
+
+    class GeneralLoop(Parser):
+        parse_sentence = ns["parse_sentence"]
+
+    return GeneralLoop(**kw)
+
+
+def test_fast_path_matches_general_loop_seeded():
+    """The lowercase fast path in ``parse_sentence`` is byte-identical to
+    the general loop: seeded token mixes of handler triggers ('https',
+    'percent', 'nank'/'infm' kbm shorthand), digits, mixed case,
+    stopwords and capitalized entity-chunk boundaries."""
+    import random
+
+    words = [
+        "covid", "vaccine", "news", "https", "percent", "percentage",
+        "nank", "infm", "nanb", "infinityk", "nan", "inf", "ink", "bank",
+        "the", "and", "of", "is", "a", "The", "And", "Covid", "COVID",
+        "Vaccine", "New", "York", "Times", "iPhone", "eBay", "mRNA",
+        "50", "68,800", "3.5", "7", "thousand", "million", "2k", "0k",
+        "1/2", "-5\\8", "well-being", "COVID-19", "#CovidIsReal", "@user",
+        "%", "https://t.co/abc", "www.example.com/x", "café", "naïve",
+        "won't", "it's", ".", ",", "!", "?", "(", ")",
+    ]
+    rng = random.Random(20241020)
+    for stemming in (False, True):
+        fast = Parser(stemming=stemming)
+        slow = _general_loop_parser(stemming=stemming)
+        for _ in range(1500):
+            text = " ".join(rng.choice(words)
+                            for _ in range(rng.randint(0, 16)))
+            assert fast.parse_sentence(text) == slow.parse_sentence(text), \
+                (stemming, text)

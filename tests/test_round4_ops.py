@@ -562,8 +562,9 @@ def test_docmeta_sidecar_shared_not_replicated(ray_session, tmp_path):
     assert eng._meta is None  # lazy: no docmeta state until a query
     r1 = eng.search("covid vaccine news", k=5, mode="bm25")
     assert len(r1) > 0
-    assert isinstance(eng._meta["ids"], np.memmap)
-    assert isinstance(eng._meta["ts"], np.memmap)
+    # plain ndarray views whose base is the mapping, not private copies
+    assert isinstance(eng._meta["ids"].base, np.memmap)
+    assert isinstance(eng._meta["ts"].base, np.memmap)
     assert eng._meta_glove is None  # bm25 never touches glove pages
     eng.search("covid vaccine news", k=5, mode="bm25_wand")
     assert eng._meta_glove is None
@@ -577,7 +578,7 @@ def test_docmeta_sidecar_shared_not_replicated(ray_session, tmp_path):
 
     # reference mode maps glove lazily and still matches itself
     rr = eng2.search("covid vaccine news", k=5, mode="reference")
-    assert isinstance(eng2._meta_glove, np.memmap)
+    assert isinstance(eng2._meta_glove.base, np.memmap)
     assert len(rr) > 0
 
     # incremental re-build changes the docmeta fingerprint -> rebuild

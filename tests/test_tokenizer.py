@@ -73,3 +73,51 @@ def test_sentence_split_after_period_quote():
 
     toks = T('He said "great things." Next sentence here.')
     assert "things" in toks and 'things."' not in toks
+
+
+def _split_always(text):
+    """treebank_tokenize with the sentence split run unconditionally."""
+    from search_engine_ray.text import tokenizer as tk
+
+    has_contr = tk._has_contraction(text)
+    out = []
+    for sent in tk._SENT_SPLIT.split(text):
+        if sent:
+            out.extend(tk._treebank_sentence(sent, has_contr))
+    return out
+
+
+def test_sentence_split_skip_without_marks():
+    """Texts without '.', '!' or '?' skip the sentence split; the token
+    streams are those of the split path, with and without the marks."""
+    cases = [
+        "", "   ", "plain words only", "Hello, World: #tag 50% @me",
+        "quoted \"thing\" (x) [y] {z} <w> -- done",
+        "isn't it, cannot 'Tis so https://t.co/x",
+        "It works.", "Why? Because! Yes.", 'He said "great." Then left',
+        "pi is 3.14 ok", "wait... what?! no.) next", "one\n\ntwo\tthree",
+    ]
+    for text in cases:
+        assert treebank_tokenize(text) == _split_always(text), text
+    assert treebank_tokenize("no marks here, at all") == \
+        ["no", "marks", "here", ",", "at", "all"]
+    assert treebank_tokenize("Really? Yes! Fine.") == \
+        ["Really", "?", "Yes", "!", "Fine", "."]
+    # each mark alone still splits: a quote pair opening the next
+    # sentence reads as an opening quote only without the split
+    assert treebank_tokenize("a? ''s b") == ["a", "?", "''s", "b"]
+    assert treebank_tokenize("a! ''s b") == ["a", "!", "''s", "b"]
+    assert treebank_tokenize("a. ''s b") == ["a", ".", "''s", "b"]
+
+
+def test_sentence_split_skip_seeded_fuzz():
+    import random
+
+    rng = random.Random(1234)
+    alphabet = ["word", "Cap", "n't", "'s", ".", "!", "?", ",", ":",
+                "\"", "'", ")", "]", "3.5", "50%", "#x", "@y", "--",
+                " ", " ", " ", "\n", "cannot", "https://t.co/a"]
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randint(0, 24)))
+        assert treebank_tokenize(text) == _split_always(text), repr(text)
