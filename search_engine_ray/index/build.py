@@ -152,6 +152,32 @@ def _doc_positions_flat(d) -> list:
 
 
 # --------------------------------------------------------------- stage 1
+def _append_parsed_row(cols: dict, cfg: EngineConfig, d, doc_id: int,
+                       url: str, ts: int) -> None:
+    """Append one parsed doc to the PARSED_SCHEMA column lists."""
+    cols["doc_id"].append(doc_id)
+    cols["url"].append(url)
+    cols["warc_ts"].append(ts)
+    cols["shard"].append(doc_id % cfg.num_shards)
+    cols["doc_length"].append(d.doc_length)
+    cols["max_tf"].append(d.max_tf)
+    cols["unique_terms"].append(d.unique_terms)
+    cols["is_covid"].append("covid" in d.term_tfs)
+    cols["terms"].append(list(d.term_tfs.keys()))
+    cols["tfs"].append(list(d.term_tfs.values()))
+    cols["positions"].append(_doc_positions_flat(d) if cfg.positions else [])
+    cols["caps_terms"].append(list(d.capitals.keys()))
+    cols["caps_flags"].append(list(d.capitals.values()))
+    cols["entities"].append(sorted(d.entities))
+
+
+def _parsed_table(cols: dict) -> pa.Table:
+    return pa.table(
+        {n: pa.array(cols[n], type=t)
+         for n, t in zip(PARSED_SCHEMA.names, PARSED_SCHEMA.types)}
+    )
+
+
 class ParsePages:
     """Actor-pool UDF: html -> text -> parsed doc columns (ST1/ST2 state
     built once per actor; /root/reference/parser_module.py:13-38)."""
@@ -169,34 +195,15 @@ class ParsePages:
         urls = batch.column("url").to_pylist()
         tss = batch.column("warc_ts").cast(pa.int64()).to_pylist()
         htmls = batch.column("html").to_pylist()
-        cols = {name: [] for name, _ in zip(PARSED_SCHEMA.names,
-                                            PARSED_SCHEMA.types)}
-        S = self.cfg.num_shards
+        cols = {name: [] for name in PARSED_SCHEMA.names}
         for url, ts, html in zip(urls, tss, htmls):
             text = extract_text(html)
             d = self.parser.parse_page(url, text)
             if d is None:
                 continue  # reference drops unparseable rows (parser_module.py:165-171)
-            doc_id = doc_id_for_url(url)
-            cols["doc_id"].append(doc_id)
-            cols["url"].append(url)
-            cols["warc_ts"].append(ts)
-            cols["shard"].append(doc_id % S)
-            cols["doc_length"].append(d.doc_length)
-            cols["max_tf"].append(d.max_tf)
-            cols["unique_terms"].append(d.unique_terms)
-            cols["is_covid"].append("covid" in d.term_tfs)
-            cols["terms"].append(list(d.term_tfs.keys()))
-            cols["tfs"].append(list(d.term_tfs.values()))
-            cols["positions"].append(
-                _doc_positions_flat(d) if self.cfg.positions else [])
-            cols["caps_terms"].append(list(d.capitals.keys()))
-            cols["caps_flags"].append(list(d.capitals.values()))
-            cols["entities"].append(sorted(d.entities))
-        return pa.table(
-            {n: pa.array(cols[n], type=t)
-             for n, t in zip(PARSED_SCHEMA.names, PARSED_SCHEMA.types)}
-        )
+            _append_parsed_row(cols, self.cfg, d, doc_id_for_url(url), url,
+                               ts)
+        return _parsed_table(cols)
 
 
 class ParseTweets:
@@ -221,7 +228,6 @@ class ParseTweets:
         cols_in = [batch.column(i).to_pylist()
                    for i in range(batch.num_columns)]
         cols = {name: [] for name in PARSED_SCHEMA.names}
-        S = self.cfg.num_shards
         for i in range(batch.num_rows):
             row = [c[i] for c in cols_in]
             d = self.parser.parse_tweet_row(row)
@@ -233,25 +239,8 @@ class ParseTweets:
                     row[1], "%a %b %d %X %z %Y").timestamp() * 1_000_000)
             except (ValueError, TypeError):
                 continue  # reference would raise; we drop the row
-            cols["doc_id"].append(tweet_id)
-            cols["url"].append(str(tweet_id))
-            cols["warc_ts"].append(ts)
-            cols["shard"].append(tweet_id % S)
-            cols["doc_length"].append(d.doc_length)
-            cols["max_tf"].append(d.max_tf)
-            cols["unique_terms"].append(d.unique_terms)
-            cols["is_covid"].append("covid" in d.term_tfs)
-            cols["terms"].append(list(d.term_tfs.keys()))
-            cols["tfs"].append(list(d.term_tfs.values()))
-            cols["positions"].append(
-                _doc_positions_flat(d) if self.cfg.positions else [])
-            cols["caps_terms"].append(list(d.capitals.keys()))
-            cols["caps_flags"].append(list(d.capitals.values()))
-            cols["entities"].append(sorted(d.entities))
-        return pa.table(
-            {n: pa.array(cols[n], type=t)
-             for n, t in zip(PARSED_SCHEMA.names, PARSED_SCHEMA.types)}
-        )
+            _append_parsed_row(cols, self.cfg, d, tweet_id, str(tweet_id), ts)
+        return _parsed_table(cols)
 
 
 # --------------------------------------------------------------- stage 2

@@ -21,6 +21,20 @@ are load-bearing for rank-identical results and are reproduced, not fixed:
   both, despite the docstring's claim);
 - doc_length counts URL-expansion tokens (parser_module.py:174-176).
 
+One decision chain (``_classify``) decides what a token does: stopword
+drop, entity-chunk membership, and which handler — the word/append
+branch, kbm shorthand, dashes, or a handler that reads a neighbour
+(``#``, ``@``, fraction, percent word, number, ``https``).  Everything it
+reads is the token, the stemming flag and module constants, so its
+result is a pure function of (token, stemming): it is computed once per
+distinct token and kept in a process-wide memo per stemming mode, shared
+by every Parser in the process (build workers, query parsers, oracles)
+and cleared when it reaches ``_CLASSIFY_MEMO_MAX`` entries.  Text is
+Zipf-distributed, so nearly every occurrence is a memo hit; the
+neighbour-reading handlers still run per occurrence.  A frozen copy of
+the per-occurrence chain in tests/test_parser.py checks the token
+stream, entities and the insertion order of capitals and term_tfs.
+
 This module is pure Python and deterministic; it is shared by the Ray
 engine (inside parser actors) and the single-process test oracle.
 """
@@ -28,6 +42,7 @@ engine (inside parser actors) and the single-process test oracle.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,10 +60,14 @@ _RIGHT_SLASH = re.compile(r"^-?[0-9]+\\0*[1-9][0-9]*$")
 _URL_SPLIT = re.compile(r"[/://?=]")
 
 _KBM = frozenset("kmbKMB")
-# the only all-alpha strings float() accepts (lowercase forms; the fast
-# path below is lowercase-only) — 'nank' etc. are kbm shorthand
-_FLOAT_WORDS = frozenset({"nan", "inf", "infinity"})
 _PERCENT_WORDS = ("%", "percent", "percentage")
+
+# _classify's entries: one process-wide memo per stemming mode, cleared
+# when it reaches the bound
+_STOP = object()
+_HASHTAG, _MENTION, _FRACTION, _PERCENT, _NUMBER, _HTTPS = range(1, 7)
+_CLASSIFY_MEMO: dict[bool, dict[str, object]] = {False: {}, True: {}}
+_CLASSIFY_MEMO_MAX = 1 << 17
 
 
 @dataclass
@@ -67,7 +86,6 @@ class Parser:
 
     def __init__(self, stemming: bool = False, tokenizer: str = "treebank",
                  harvest_page_url: bool = True, raw_tokens: bool = False):
-        self.stop_words = STOPWORDS
         self.stemming = stemming
         self.tokenize = get_tokenizer(tokenizer)
         self.tokenizer_name = tokenizer
@@ -92,79 +110,56 @@ class Parser:
         capitals: dict[str, bool] = {}
         entities: set[str] = set()
 
-        stop_words = self.stop_words
+        # Each distinct token walks the decision chain once (_classify);
+        # its entry is looked up in the process-wide memo after that.
+        # Handlers that read a neighbour still run per occurrence, with
+        # idx, and may blank later tokens in ``toks`` in place.
+        stemming = self.stemming
+        lookup = _CLASSIFY_MEMO[stemming].get
         for idx, token in enumerate(toks):
-            # fast path for plain lowercase ascii words — the vast
-            # majority of web-text tokens.  Such a token provably takes
-            # the default _append branch (it can't be a handler trigger:
-            # not '#'/'@', no slash/comma/dash/digit, and the kbm guard's
-            # _to_float on an alpha prefix is None for every alpha string
-            # EXCEPT float()'s word literals 'nan'/'inf'/'infinity', so
-            # e.g. 'nank'/'infm' must fall through to the kbm branch),
-            # except the two lowercase keywords 'percent(age)' and
-            # 'https' which are excluded here.  Behavior is
-            # byte-identical to the general loop below (seeded
-            # differential test against a copy without this branch,
-            # tests/test_parser.py).
-            if (token.isalpha() and token.isascii() and token.islower()
-                    and token != "https" and token not in _PERCENT_WORDS
-                    and not (token[-1] in "kmb"
-                             and token[:-1] in _FLOAT_WORDS)):
-                if token in stop_words:
-                    continue
-                if chunk != "":
-                    entities.add(chunk[:-1])
-                    if chunk_len > 1:
-                        out.append(chunk[:-1].lower())
-                    chunk = ""
-                    chunk_len = 0
-                if self.stemming:
-                    token = porter2.stem(token)
-                capitals[token] = False
-                if token not in stop_words:
-                    out.append(token)
+            entry = lookup(token)
+            if entry is None:
+                entry = _classify(token, stemming)
+            if entry is _STOP:
                 continue
-            tl = token.lower()
-            if tl in stop_words or (
-                len(token) == 1 and ord(token) > 126
-            ):
-                continue
+            upper, kind, terms, cap_key, cap_flag = entry
 
-            if len(token) > 0 and token[0].isupper():
+            if upper:
                 chunk += token + " "
                 chunk_len += 1
-            else:
-                if chunk != "":
-                    entities.add(chunk[:-1])
-                    if chunk_len > 1:
-                        out.append(chunk[:-1].lower())
-                    chunk = ""
-                    chunk_len = 0
+            elif chunk != "":
+                entities.add(chunk[:-1])
+                if chunk_len > 1:
+                    out.append(chunk[:-1].lower())
+                chunk = ""
+                chunk_len = 0
 
-            if token == "#":
-                self._hashtags(out, idx)
-            elif token == "@":
-                self._tags(out, idx)
-            elif ("/" in token or "\\" in token) and self._is_fraction(token):
-                # (the fraction regexes require a slash — cheap pre-filter)
-                self._fraction(out, token, idx)
-            elif token in _PERCENT_WORDS:
-                self._percent(out, idx)
-            elif token.isnumeric() or "," in token:
-                self._number(out, idx, token)
-            elif "-" in token and len(token) > 1:
-                self._dashes(out, token)
-            elif token == "https" and idx + 2 < len(toks):
-                parts = self._split_url(toks[idx + 2])
-                out.extend(p.lower() for p in parts)
-                toks[idx + 2] = ""
-            elif token[-1] in _KBM and self._to_float(token[:-1]):
-                out.append(token.upper())
-            else:
-                if self.stemming:
-                    token = porter2.stem(token)
-                    tl = token  # stem output is already lowercase
-                self._append(out, capitals, token, tl)
+            if kind:
+                if kind == _HASHTAG:
+                    self._hashtags(out, idx)
+                    continue
+                if kind == _MENTION:
+                    self._tags(out, idx)
+                    continue
+                if kind == _FRACTION:
+                    self._fraction(out, token, idx)
+                    continue
+                if kind == _PERCENT:
+                    self._percent(out, idx)
+                    continue
+                if kind == _NUMBER:
+                    self._number(out, idx, token)
+                    continue
+                if idx + 2 < len(toks):  # _HTTPS: splice the URL token
+                    parts = self._split_url(toks[idx + 2])
+                    out.extend(p.lower() for p in parts)
+                    toks[idx + 2] = ""
+                    continue
+                # 'https' without two tokens after it: the rest of the
+                # chain, which the entry carries
+            if cap_key is not None:
+                capitals[cap_key] = cap_flag
+            out += terms
 
         # NOTE: a trailing entity chunk is intentionally dropped here,
         # matching the reference (no flush after the loop).
@@ -238,19 +233,12 @@ class Parser:
                 parts = self._split_url(u)
                 if parts:
                     tokens.extend(parts)
-        term_tfs: dict[str, int] = {}
-        max_tf = 0
-        doc_length = len(tokens)
-        for term in tokens:
-            tf = term_tfs.get(term, 0) + 1
-            term_tfs[term] = tf
-            if tf > max_tf:
-                max_tf = tf
+        term_tfs = dict(Counter(tokens))  # first-occurrence order
         return ParsedDoc(
             tokens=tokens,
             term_tfs=term_tfs,
-            doc_length=doc_length,
-            max_tf=max_tf,
+            doc_length=len(tokens),
+            max_tf=max(term_tfs.values()),
             unique_terms=len(term_tfs),
             capitals=capitals,
             entities=entities,
@@ -342,18 +330,19 @@ class Parser:
         return [x.lower() for x in r
                 if x != "" and x != "https" and not x.startswith("#")]
 
-    def _dashes(self, out, token):                                      # P12
+    @staticmethod
+    def _dashes(out, token):                                            # P12
         dash_idx = token.find("-")
         after = token[dash_idx + 1:].lower()
         if dash_idx > 0:
             out.append(token.lower())
             before = token[:dash_idx].lower()
-            if before not in self.stop_words:
+            if before not in STOPWORDS:
                 out.append(before)
-            if after not in self.stop_words:
+            if after not in STOPWORDS:
                 out.append(after)
         else:
-            if after not in self.stop_words:
+            if after not in STOPWORDS:
                 out.append(after)
 
     def _fraction(self, out, token, idx):                               # P13
@@ -382,12 +371,59 @@ class Parser:
         return (_RIGHT_SLASH.match(token) is not None
                 or _LEFT_SLASH.match(token) is not None)
 
-    def _append(self, out, capitals, token, tl=None):                   # P15
-        if tl is None:
-            tl = token.lower()
-        if len(token) > 0 and token[0].isupper():
-            capitals[tl] = True
+
+def _classify(token: str, stemming: bool):
+    """Walk the decision chain once for ``token``, store the entry in the
+    memo of its stemming mode and return it.
+
+    The entry is ``_STOP`` for a stopword or a 1-char non-Latin token,
+    else ``(upper, kind, terms, cap_key, cap_flag)``: ``upper`` opens or
+    extends an entity chunk; ``kind`` names the handler that reads a
+    neighbour (0 for none); ``terms`` are the emitted terms and
+    ``cap_key``/``cap_flag`` the capitals write (``cap_key`` None for no
+    write) of a token with no such handler, and of 'https' when no URL
+    token follows it.  Everything read here is the token, the stemming
+    flag and module constants, so the entry is a pure function of
+    (token, stemming).
+    """
+    tl = token.lower()
+    if tl in STOPWORDS or (len(token) == 1 and ord(token) > 126):
+        entry = _STOP
+    else:
+        kind, terms, cap_key, cap_flag = 0, (), None, False
+        if token == "#":
+            kind = _HASHTAG
+        elif token == "@":
+            kind = _MENTION
+        elif ("/" in token or "\\" in token) and Parser._is_fraction(token):
+            # (the fraction regexes require a slash — cheap pre-filter)
+            kind = _FRACTION
+        elif token in _PERCENT_WORDS:
+            kind = _PERCENT
+        elif token.isnumeric() or "," in token:
+            kind = _NUMBER
+        elif "-" in token and len(token) > 1:
+            out: list[str] = []
+            Parser._dashes(out, token)
+            terms = tuple(out)
         else:
-            capitals[tl] = False
-        if tl not in self.stop_words:
-            out.append(tl)
+            if token == "https":
+                # splices the URL token two ahead when there is one;
+                # otherwise the rest of the chain below decides it
+                kind = _HTTPS
+            if token[-1] in _KBM and Parser._to_float(token[:-1]):
+                terms = (token.upper(),)
+            else:                                                       # P15
+                word = token
+                if stemming:
+                    word = porter2.stem(token)
+                    tl = word  # stem output is already lowercase
+                cap_key, cap_flag = tl, word[:1].isupper()
+                if tl not in STOPWORDS:
+                    terms = (tl,)
+        entry = (token[:1].isupper(), kind, terms, cap_key, cap_flag)
+    memo = _CLASSIFY_MEMO[stemming]
+    if len(memo) >= _CLASSIFY_MEMO_MAX:
+        memo.clear()  # bound per-process memory
+    memo[token] = entry
+    return entry
