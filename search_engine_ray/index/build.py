@@ -184,12 +184,7 @@ class ParsePages:
 
     def __init__(self, config: EngineConfig):
         self.cfg = config
-        self.parser = Parser(
-            stemming=config.stemming,
-            tokenizer=config.tokenizer,
-            harvest_page_url=config.harvest_page_url,
-            raw_tokens=config.raw_tokens,
-        )
+        self.parser = Parser.from_config(config)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
@@ -215,12 +210,7 @@ class ParseTweets:
 
     def __init__(self, config: EngineConfig):
         self.cfg = config
-        self.parser = Parser(
-            stemming=config.stemming,
-            tokenizer=config.tokenizer,
-            harvest_page_url=config.harvest_page_url,
-            raw_tokens=config.raw_tokens,
-        )
+        self.parser = Parser.from_config(config)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from datetime import datetime

@@ -410,11 +410,10 @@ class SnippetExtractor:
     each pages batch emits (query_id, doc_id, snippet) for the ranked
     docs it contains."""
 
-    def __init__(self, cfg_kwargs: dict, wanted: dict, terms: dict,
-                 window: int):
+    def __init__(self, cfg, wanted: dict, terms: dict, window: int):
         from search_engine_ray.text.parser import Parser
 
-        self.parser = Parser(**cfg_kwargs)
+        self.parser = Parser.from_config(cfg)
         self.wanted = wanted      # doc_id -> [query_id, ...]
         self.terms = terms        # query_id -> parsed term list
         self.window = window
@@ -466,17 +465,12 @@ def attach_snippets(index_dir: str, pages_path: str, results: pa.Table,
     glove-blended reference mode)."""
     import ray.data
 
+    from search_engine_ray.config import EngineConfig
     from search_engine_ray.index import manifest as mf
-
-    man = mf.read_manifest(index_dir)
-    cfg = man["config"]
-    cfg_kwargs = {"stemming": cfg["stemming"],
-                  "tokenizer": cfg["tokenizer"],
-                  "harvest_page_url": cfg["harvest_page_url"],
-                  "raw_tokens": cfg["raw_tokens"]}
     from search_engine_ray.text.parser import Parser
 
-    parser = Parser(**cfg_kwargs)
+    cfg = EngineConfig(**mf.read_manifest(index_dir)["config"])
+    parser = Parser.from_config(cfg)
     terms = {qi: set(parser.parse_sentence(q)[0])
              for qi, q in enumerate(queries)}
     wanted: dict[int, list[int]] = {}
@@ -487,7 +481,7 @@ def attach_snippets(index_dir: str, pages_path: str, results: pa.Table,
     snips = (ray.data.read_parquet(pages_path, columns=["url", "html"])
              .map_batches(SnippetExtractor,
                           fn_constructor_kwargs={
-                              "cfg_kwargs": cfg_kwargs,
+                              "cfg": cfg,
                               "wanted": wanted, "terms": terms,
                               "window": window},
                           batch_format="pyarrow", concurrency=2)

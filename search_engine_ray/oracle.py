@@ -39,12 +39,7 @@ from search_engine_ray.text.parser import Parser
 class OracleIndex:
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
-        self.parser = Parser(
-            stemming=self.config.stemming,
-            tokenizer=self.config.tokenizer,
-            harvest_page_url=self.config.harvest_page_url,
-            raw_tokens=self.config.raw_tokens,
-        )
+        self.parser = Parser.from_config(self.config)
         self.glove = GloveCache(self.config.glove_path,
                                 self.config.glove_dim)
         # term -> list[(doc_id, doc_length, max_tf, unique_terms, tf)]
@@ -130,13 +125,15 @@ class OracleIndex:
     def final_terms(self, prune_df1: bool) -> dict[str, str]:
         """The reference's merge-time rules (indexer.py:156-169) applied
         WITHOUT mutating the accumulator: final term -> the orig term
-        whose postings and df it carries.  ``prune_df1`` is a parameter
-        (not read from config) because the NRT segment (query/nrt.py)
-        must defer the df==1 prune to the COMBINED base+segment df;
-        ``finalize`` passes the config value.  The prune runs inside the
-        loop, per ORIG term, so a pruned orig can never displace an
-        earlier rewrite winner (the reference's exact insert-order
-        semantics)."""
+        whose postings and df it carries.  ``finalize`` passes the
+        config's ``prune_df1``.  The NRT segment (query/nrt.py) does not
+        call this: it resolves one query term at a time
+        (``Segment.orig``), with the df==1 prune deferred to the
+        COMBINED base+segment df, and ``final_terms(prune_df1=False)``
+        is the reference tests/test_nrt_segment.py checks it against.
+        The prune runs inside the loop, per ORIG term, so a pruned orig
+        can never displace an earlier rewrite winner (the reference's
+        exact insert-order semantics)."""
         out: dict[str, str] = {}
         for term in sorted(self.postings):
             out_term = term

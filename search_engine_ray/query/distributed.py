@@ -65,10 +65,7 @@ class DistributedSearchEngine:
         man = mf.read_manifest(out_dir)
         self.cfg = EngineConfig(**man["config"])
         self.n_docs = man["n_docs"]
-        self.parser = Parser(
-            stemming=self.cfg.stemming, tokenizer=self.cfg.tokenizer,
-            harvest_page_url=self.cfg.harvest_page_url,
-            raw_tokens=self.cfg.raw_tokens)
+        self.parser = Parser.from_config(self.cfg)
         S = self.cfg.num_shards
         num_actors = min(num_actors, S)
         # derive the shared cache/ files once, here: the actors then map

@@ -521,10 +521,9 @@ class SearchEngine:
         self.cfg = EngineConfig(**man["config"])
         self.n_docs = man["n_docs"]
         self.avg_dl = man["avg_doc_length"]
-        self.parser = Parser(
-            stemming=self.cfg.stemming, tokenizer=self.cfg.tokenizer,
-            harvest_page_url=self.cfg.harvest_page_url,
-            raw_tokens=self.cfg.raw_tokens)
+        # the manifest's integer sum: avg_dl * n_docs can be an ulp off
+        self.sum_doc_length = int(man["sum_doc_length"])
+        self.parser = Parser.from_config(self.cfg)
         self.glove = GloveCache(self.cfg.glove_path, self.cfg.glove_dim)
 
         # the collision winners are read only when this engine writes a
@@ -1580,12 +1579,13 @@ def union_scores(id_parts: list[np.ndarray],
     per doc, the sum of its contributions in part order.
 
     Each part lists a doc at most once; it is one or a few doc-sorted
-    runs (a SearchEngine posting list is one, an NRT term's base +
-    segment ids are two).  A stable argsort (timsort merges the runs)
-    keeps a doc's postings in part order, and ``bincount`` adds them
-    sequentially from 0.0, so every doc sums ``0 + c1 + c2 + ...`` in
-    query-term order — bit-identical to ``np.unique(return_inverse=True)``
-    + ``bincount``, without re-sorting the runs.  (``np.add.reduceat``
+    runs (a SearchEngine posting list is one; an NRT term is the base
+    run plus up to one run per add batch).  A stable argsort (timsort
+    merges the runs) keeps a doc's postings in part order, and
+    ``bincount`` adds them sequentially from 0.0, so every doc sums
+    ``0 + c1 + c2 + ...`` in query-term order — bit-identical to
+    ``np.unique(return_inverse=True)`` + ``bincount``, without
+    re-sorting the runs.  (``np.add.reduceat``
     would add pairwise and drift in the last bits.)  A single part is
     returned as is, zero-copy."""
     if len(id_parts) == 1:

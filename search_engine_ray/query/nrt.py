@@ -2,15 +2,14 @@
 IMMEDIATELY, without a rebuild or merge.
 
 ``NrtSearchEngine`` wraps a built on-disk index (`SearchEngine`) plus an
-in-memory delta segment (an `OracleIndex` accumulator — the same trusted
-token/dict derivation the build pipeline is conformance-tested against,
-oracle.py).  ``add_pages`` parses into the segment; ``search`` scores
-base+segment candidates with COMBINED corpus statistics (n_docs, sum of
-doc lengths, per-term df), so a doc's BM25 score — and therefore the
-ranking — is exactly what a full rebuild over base+delta would produce.
-The public model is Lucene's NRT reader (IndexWriter.getReader); the
-reference has no NRT path at all — it rebuilds per run
-(/root/reference/search_engine.py:29-72).
+in-memory delta segment (``Segment``: columnar postings and the dict-rule
+state the reference's merge reads).  ``add_pages`` parses into the
+segment; ``search`` scores base+segment candidates with COMBINED corpus
+statistics (n_docs, sum of doc lengths, per-term df), so a doc's BM25
+score — and therefore the ranking — is exactly what a full rebuild over
+base+delta would produce.  The public model is Lucene's NRT reader
+(IndexWriter.getReader); the reference has no NRT path at all — it
+rebuilds per run (the reference's search_engine.py:29-72).
 
 Exact-rebuild parity holds when the dict verdicts are delta-stable:
 tokenizer="simple"-class configs (no capitals/entity rules reachable)
@@ -20,21 +19,31 @@ capitals/entity rules segment-locally and the df==1 prune on the
 COMBINED df, so NRT is eventually-consistent until ``flush`` (exactly
 Lucene's posture: global decisions re-derive at merge time).
 
-Cost model.  An add is a duplicate check (one vectorized docmeta
-lookup per batch) plus the parse and the accumulator's dict appends; no
-GloVe centroid is built (only the oracle's reference scorer reads one,
-on first use).  The first search after an add refreshes the segment: one
-dict-rules pass over the segment's terms and the sorted (doc id, ts)
-arrays, O(segment terms + segment docs), with no posting conversion; it
-is all a refresh keeps, so its state is bounded by the segment.  A
-search converts and scores only the terms it touches: each touched
-term's segment postings are converted and joined to its base postings
-(read through the engine's bounded posting cache) on every search, so
-each term is two doc-sorted runs, base then segment.  The terms are
-joined by ``SearchEngine``'s union kernel (``union_scores``, which
-merges the runs with a stable sort and sums in query-term order), and
-candidates are pruned by score before the ts gather, as in
-``SearchEngine``'s TAAT path.
+Cost model.
+- Add: a duplicate check (one vectorized docmeta lookup per batch and a
+  set probe per doc), the parse, then the batch goes in as arrays.  One
+  ``vocab.setdefault`` pass maps its terms to segment term ids, one
+  ``bincount`` adds them to ``df``, and one ``lexsort`` makes the batch
+  a single (term, doc)-sorted run.  Capitals verdicts (AND over docs)
+  and entity counts merge per doc, as the reference's accumulator does.
+  No per-posting Python object is kept.
+- Refresh (the first search after an add): the pending runs merge into
+  the consolidated columns with one stable argsort on term id (timsort
+  merges the runs), then the CSR offsets and the sorted (doc id, ts)
+  arrays are rebuilt; O(segment postings), with no vocabulary-wide rules
+  pass.  The refresh's view is all a search reads, so its state is
+  bounded by the segment.
+- Verdicts: a query term's orig term is resolved on first touch in a
+  refresh (``Segment.orig``, the rules of ``final_terms`` with the
+  df==1 prune deferred to the combined df) and memoized in the view.
+- Search: a touched term's segment postings are CSR slices of the
+  columns, joined to its base postings (read through the engine's
+  bounded posting cache), so each term is the base run plus one
+  doc-sorted run per add batch that holds it.  The terms are joined by
+  ``SearchEngine``'s union kernel (``union_scores``, which merges the
+  runs with a stable sort and sums in query-term order), and candidates
+  are pruned by score before the ts gather, as in ``SearchEngine``'s
+  TAAT path.
 
 At cluster scale the segment is per-ingest-actor state (the same
 placement as ST4's accumulators-turned-shuffles): deltas stay small
@@ -45,45 +54,157 @@ spill+reduce via index/merge.py (no re-parse of the base corpus).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
 from search_engine_ray.ids import doc_id_for_url
-from search_engine_ray.index import manifest as mf
 from search_engine_ray.index.encoding import tf_norm
-from search_engine_ray.oracle import OracleIndex
 from search_engine_ray.query.engine import (SearchEngine, _topk_by_score,
                                            union_scores)
+from search_engine_ray.text.parser import Parser
 
 
-class _Segment(NamedTuple):
+class _View(NamedTuple):
     """One refresh of the segment, valid until the next add."""
-    terms: dict          # final term -> orig accumulator term (rules pass)
     ids: np.ndarray      # segment doc ids, sorted
     ts: np.ndarray       # their ts, aligned with ``ids``
+    off: np.ndarray      # CSR: term id t's postings are [off[t], off[t+1])
+    doc: np.ndarray      # posting doc ids, by term id, then add batch
+    tf: np.ndarray       # posting tfs, aligned with ``doc``
+    dl: np.ndarray       # posting doc lengths, aligned with ``doc``
+    tids: dict           # final term -> term id (-1: none), memoized
+
+
+_NO_COLS = (np.zeros(0, np.int32), np.zeros(0, np.int64),
+            np.zeros(0, np.int32), np.zeros(0, np.int32),
+            np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+
+class Segment:
+    """The in-memory delta: columnar postings (term id, doc id, tf, doc
+    length), per-doc (doc id, ts) and the state the reference's merge
+    rules read (capitals verdicts, entity counts; indexer.py:156-169)."""
+
+    def __init__(self, cfg):
+        # its own parser: the base engine's serves queries only
+        self.parser = Parser.from_config(cfg)
+        self.vocab: dict[str, int] = {}       # orig term -> term id
+        self.df = np.zeros(0, np.int64)       # per term id
+        self.caps: dict[str, bool] = {}       # AND of the docs' flags
+        self.uppers: dict[str, list[str]] = {}  # upper -> origs caps-True
+        self.entities = Counter()
+        self.doc_ids: set[int] = set()
+        self.n_docs = 0
+        self.sum_dl = 0
+        # consolidated (tid, doc, tf, dl, ids, ts) and the pending runs
+        # added since the last refresh, one per batch
+        self._cols = _NO_COLS
+        self._runs: list[tuple] = []
+        self._view: _View | None = None
+
+    def add(self, docs) -> None:
+        """Append ``docs``, a list of (doc id, ts, ParsedDoc), as one
+        (term, doc)-sorted run."""
+        if not docs:
+            return
+        caps, uppers = self.caps, self.uppers
+        terms, tfs, counts, dls = [], [], [], []
+        for _did, _ts, d in docs:
+            for term, cap in d.capitals.items():
+                if term not in caps:
+                    caps[term] = cap
+                    if cap:
+                        uppers.setdefault(term.upper(), []).append(term)
+                elif not cap:
+                    caps[term] = False
+            self.entities.update(d.entities)
+            terms.extend(d.term_tfs)
+            tfs.extend(d.term_tfs.values())
+            counts.append(len(d.term_tfs))
+            dls.append(d.doc_length)
+        vocab = self.vocab
+        tid = np.array([vocab.setdefault(t, len(vocab)) for t in terms],
+                       np.int32)
+        df = np.bincount(tid, minlength=len(vocab))
+        df[:len(self.df)] += self.df
+        self.df = df
+        ids = np.array([did for did, _ts, _d in docs], np.int64)
+        ts = np.array([t for _did, t, _d in docs], np.int64)
+        doc = np.repeat(ids, counts)
+        dl = np.repeat(np.array(dls, np.int32), counts)
+        o = np.lexsort((doc, tid))
+        self._runs.append((tid[o], doc[o], np.array(tfs, np.int32)[o],
+                           dl[o], ids, ts))
+        self.doc_ids.update(ids.tolist())
+        self.n_docs += len(docs)
+        self.sum_dl += sum(dls)
+        self._view = None
+
+    def view(self) -> _View:
+        """The segment as of the last add: built on the first call after
+        it, by merging the pending runs into the consolidated columns."""
+        if self._view is None:
+            if self._runs:
+                cols = [np.concatenate(c)
+                        for c in zip(self._cols, *self._runs)]
+                o = cols[0].argsort(kind="stable")
+                cols[:4] = [c[o] for c in cols[:4]]
+                o = cols[4].argsort()
+                cols[4:] = [c[o] for c in cols[4:]]
+                self._cols, self._runs = tuple(cols), []
+            tid, doc, tf, dl, ids, ts = self._cols
+            off = np.zeros(len(self.vocab) + 1, np.int64)
+            np.cumsum(np.bincount(tid, minlength=len(self.vocab)),
+                      out=off[1:])
+            self._view = _View(ids, ts, off, doc, tf, dl, {})
+        return self._view
+
+    def orig(self, term: str) -> str | None:
+        """The orig term whose postings and df the final ``term`` carries
+        (``OracleIndex.final_terms(prune_df1=False)``, one term at a
+        time): the greatest live orig (in ``vocab``, not entity-pruned)
+        that is ``term`` with a False capitals verdict, or whose upper is
+        ``term`` with a True one.  A verdict only flips True->False, so
+        ``uppers`` (appended when an orig first enters ``caps`` as True)
+        holds every orig that can rewrite to ``term``."""
+        caps, ents = self.caps, self.entities
+        cands = [o for o in self.uppers.get(term, ()) if caps[o]]
+        if not caps.get(term, False):
+            cands.append(term)
+        return max((o for o in cands if o in self.vocab
+                    and not (o in ents and ents[o] < 2)), default=None)
+
+    def postings(self, term: str):
+        """(df, doc ids, tfs, doc lengths) of a final term in the
+        segment, or None; the arrays are slices of the view's columns."""
+        v = self.view()
+        tid = v.tids.get(term)
+        if tid is None:
+            o = self.orig(term)
+            tid = v.tids[term] = -1 if o is None else self.vocab[o]
+        if tid < 0:
+            return None
+        a, z = v.off[tid], v.off[tid + 1]
+        return int(self.df[tid]), v.doc[a:z], v.tf[a:z], v.dl[a:z]
 
 
 class NrtSearchEngine:
     def __init__(self, out_dir: str):
         self.base = SearchEngine(out_dir)
         self.out_dir = out_dir
-        man = mf.read_manifest(out_dir)
-        # integer sum from the manifest — reconstructing it as
-        # avg*n would be off by an ulp and break exact rebuild parity
-        self._base_sum_dl = int(man["sum_doc_length"])
-        self._raw = OracleIndex(self.base.cfg)
+        self._seg = Segment(self.base.cfg)
         self._pages: list[tuple[str, int, str]] = []
-        self._view: _Segment | None = None
 
     # ------------------------------------------------------------ ingest
     @property
     def n_docs(self) -> int:
-        return self.base.n_docs + self._raw.n_docs
+        return self.base.n_docs + self._seg.n_docs
 
     @property
     def segment_docs(self) -> int:
-        return self._raw.n_docs
+        return self._seg.n_docs
 
     def add_pages(self, pages) -> int:
         """Add documents; returns how many parsed (visible to the very
@@ -96,10 +217,10 @@ class NrtSearchEngine:
 
         if isinstance(pages, pa.Table):
             pages = zip(pages.column("url").to_pylist(),
-                        [x.value for x in pages.column("warc_ts")],
+                        pages.column("warc_ts").cast(pa.int64()).to_pylist(),
                         pages.column("text").to_pylist())
-        # validate the WHOLE batch before mutating anything: a dup-url
-        # reject must leave the engine exactly as it was (no
+        # validate and parse the WHOLE batch before mutating anything: a
+        # dup-url reject must leave the engine exactly as it was (no
         # half-applied batch, no stale cached view)
         batch = [(url, int(ts), text) for url, ts, text in pages]
         dids = [doc_id_for_url(url) for url, _ts, _text in batch]
@@ -107,48 +228,31 @@ class NrtSearchEngine:
         seen: set[int] = set()
         for (url, _ts, _text), did, dup in zip(batch, dids,
                                                in_base.tolist()):
-            if dup or did in self._raw.doc_ts or did in seen:
+            if dup or did in self._seg.doc_ids or did in seen:
                 raise ValueError(f"url already indexed: {url!r}")
             seen.add(did)
-        added = 0
-        try:
-            for url, ts, text in batch:
-                if self._raw.add_page(url, ts, text):
-                    self._pages.append((url, ts, text))
-                    added += 1
-        finally:
-            self._view = None
-        return added
+        parse = self._seg.parser.parse_page
+        docs, kept = [], []
+        for (url, ts, text), did in zip(batch, dids):
+            d = parse(url, text)
+            if d is not None:
+                docs.append((did, ts, d))
+                kept.append((url, ts, text))
+        self._seg.add(docs)
+        self._pages += kept
+        return len(docs)
 
     # ----------------------------------------------------------- segment
-    def _segment(self) -> _Segment:
-        """The segment as of the last add, built on the first search
-        after it WITHOUT mutating the accumulator (OracleIndex.finalize
-        is one-shot; NRT keeps accepting adds).  Only the dict rules
-        pass and the sorted (ids, ts) arrays are built here; a term's
-        postings are converted when a query first touches it
-        (``_term_contrib``).  Dict rules are applied segment-locally
-        except the df==1 prune, which must see the COMBINED df."""
-        if self._view is None:
-            o = self._raw
-            ids = np.fromiter(o.doc_ts.keys(), np.int64, len(o.doc_ts))
-            ts = np.fromiter(o.doc_ts.values(), np.int64, len(o.doc_ts))
-            order = np.argsort(ids)
-            # the oracle's own non-mutating rules pass (prune deferred to
-            # the combined df) so the segment can never drift from the
-            # build semantics it mirrors
-            self._view = _Segment(o.final_terms(prune_df1=False),
-                                  ids[order], ts[order])
-        return self._view
+    def _segment(self) -> _View:
+        return self._seg.view()
 
-    def _term_contrib(self, term: str, seg: _Segment):
+    def _term_contrib(self, term: str):
         """(ids, idf * tf_norm) over base + segment for one final term
         with the COMBINED corpus statistics, or None when a rebuild would
         not index the term."""
-        o, cfg = self._raw, self.base.cfg
-        orig = seg.terms.get(term)
-        df = self.base.df_map.get(term, 0) + (
-            o.df[orig] if orig is not None else 0)
+        seg, cfg = self._seg, self.base.cfg
+        sp = seg.postings(term)
+        df = self.base.df_map.get(term, 0) + (sp[0] if sp else 0)
         # unknown everywhere, or the rebuild would df==1-prune
         if not df or (cfg.prune_df1 and df < 2):
             return None
@@ -158,15 +262,14 @@ class NrtSearchEngine:
             ids.append(bp["doc_ids"])
             tfs.append(bp["tfs"])
             dls.append(bp["dls"])
-        if orig is not None:
-            pl = o.sorted_postings(orig)
-            for parts, f in ((ids, 0), (tfs, 4), (dls, 1)):
-                parts.append(np.fromiter((p[f] for p in pl), np.int64,
-                                         len(pl)))
+        if sp is not None:
+            ids.append(sp[1])
+            tfs.append(sp[2])
+            dls.append(sp[3])
         if not ids:
             return None
         N = self.n_docs
-        avgdl = (self._base_sum_dl + o.sum_dl) / N
+        avgdl = (self.base.sum_doc_length + seg.sum_dl) / N
         # tf_norm is elementwise, so one call over base+segment gives the
         # per-posting values two separate calls would
         return np.concatenate(ids), math.log10(N / df) * tf_norm(
@@ -198,18 +301,17 @@ class NrtSearchEngine:
         query, _, _ = self.base.parser.parse_sentence(query_text)
         if not query:
             return []
-        seg = self._segment()
         terms = list(dict.fromkeys(query))
         # one batched posting read (prefetch skips cached and unknown
         # terms)
         self.base.prefetch(terms)
-        parts = [c for c in (self._term_contrib(t, seg) for t in terms)
-                 if c is not None]
+        parts = [c for c in map(self._term_contrib, terms) if c is not None]
         if not parts:
             return []
         # each part lists a doc once (base and segment are disjoint), as
-        # two doc-sorted runs; a single part's ids stay in that order,
-        # which the top-k does not need sorted
+        # doc-sorted runs (base, then one per add batch); a single
+        # part's ids stay in that order, which the top-k does not need
+        # sorted
         cand, scores = union_scores([p[0] for p in parts],
                                     [p[1] for p in parts])
         return _topk_by_score(scores, cand, k, self._ts_of)
@@ -253,9 +355,6 @@ class NrtSearchEngine:
         merge_indexes([self.out_dir, delta_dir], merged_dir)
         self.base = SearchEngine(merged_dir)
         self.out_dir = merged_dir
-        self._base_sum_dl = int(
-            mf.read_manifest(merged_dir)["sum_doc_length"])
-        self._raw = OracleIndex(self.base.cfg)
+        self._seg = Segment(self.base.cfg)
         self._pages = []
-        self._view = None
         return merged_dir

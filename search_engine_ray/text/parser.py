@@ -97,6 +97,14 @@ class Parser:
         self.raw_tokens = raw_tokens
         self._toks: list[str] = []
 
+    @classmethod
+    def from_config(cls, cfg) -> "Parser":
+        """The parser an ``EngineConfig`` describes: its stemming,
+        tokenizer, harvest_page_url and raw_tokens fields."""
+        return cls(stemming=cfg.stemming, tokenizer=cfg.tokenizer,
+                   harvest_page_url=cfg.harvest_page_url,
+                   raw_tokens=cfg.raw_tokens)
+
     # ------------------------------------------------------------------ P2
     def parse_sentence(self, text: str):
         """Tokenize + normalize one text; returns (tokens, capitals, entities)."""
