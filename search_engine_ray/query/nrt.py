@@ -33,9 +33,10 @@ Cost model.
   arrays are rebuilt; O(segment postings), with no vocabulary-wide rules
   pass.  The refresh's view is all a search reads, so its state is
   bounded by the segment.
-- Verdicts: a query term's orig term is resolved on first touch in a
-  refresh (``Segment.orig``, the rules of ``final_terms`` with the
-  df==1 prune deferred to the combined df) and memoized in the view.
+- Verdicts: a query term's orig term is resolved at lookup
+  (``Segment.orig``, the rules of ``final_terms`` with the df==1 prune
+  deferred to the combined df): one ``uppers`` probe and a max over the
+  few origs it lists.
 - Search: a touched term's segment postings are CSR slices of the
   columns, joined to its base postings (read through the engine's
   bounded posting cache), so each term is the base run plus one
@@ -74,7 +75,6 @@ class _View(NamedTuple):
     doc: np.ndarray      # posting doc ids, by term id, then add batch
     tf: np.ndarray       # posting tfs, aligned with ``doc``
     dl: np.ndarray       # posting doc lengths, aligned with ``doc``
-    tids: dict           # final term -> term id (-1: none), memoized
 
 
 _NO_COLS = (np.zeros(0, np.int32), np.zeros(0, np.int64),
@@ -96,13 +96,16 @@ class Segment:
         self.uppers: dict[str, list[str]] = {}  # upper -> origs caps-True
         self.entities = Counter()
         self.doc_ids: set[int] = set()
-        self.n_docs = 0
         self.sum_dl = 0
         # consolidated (tid, doc, tf, dl, ids, ts) and the pending runs
         # added since the last refresh, one per batch
         self._cols = _NO_COLS
         self._runs: list[tuple] = []
         self._view: _View | None = None
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
 
     def add(self, docs) -> None:
         """Append ``docs``, a list of (doc id, ts, ParsedDoc), as one
@@ -138,7 +141,6 @@ class Segment:
         self._runs.append((tid[o], doc[o], np.array(tfs, np.int32)[o],
                            dl[o], ids, ts))
         self.doc_ids.update(ids.tolist())
-        self.n_docs += len(docs)
         self.sum_dl += sum(dls)
         self._view = None
 
@@ -158,7 +160,7 @@ class Segment:
             off = np.zeros(len(self.vocab) + 1, np.int64)
             np.cumsum(np.bincount(tid, minlength=len(self.vocab)),
                       out=off[1:])
-            self._view = _View(ids, ts, off, doc, tf, dl, {})
+            self._view = _View(ids, ts, off, doc, tf, dl)
         return self._view
 
     def orig(self, term: str) -> str | None:
@@ -179,13 +181,10 @@ class Segment:
     def postings(self, term: str):
         """(df, doc ids, tfs, doc lengths) of a final term in the
         segment, or None; the arrays are slices of the view's columns."""
-        v = self.view()
-        tid = v.tids.get(term)
-        if tid is None:
-            o = self.orig(term)
-            tid = v.tids[term] = -1 if o is None else self.vocab[o]
-        if tid < 0:
+        o = self.orig(term)
+        if o is None:
             return None
+        v, tid = self.view(), self.vocab[o]
         a, z = v.off[tid], v.off[tid + 1]
         return int(self.df[tid]), v.doc[a:z], v.tf[a:z], v.dl[a:z]
 
