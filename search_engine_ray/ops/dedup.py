@@ -1068,18 +1068,17 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
         x.view(np.uint8).reshape(*x.shape, 8), axis=-1).sum(axis=-1)
 
 
-def _hamming_bucket_pairs_fn(max_hamming: int, max_bucket: int,
-                             hash_col: str = "simhash"):
-    """Per-bucket Hamming-pair kernel shared by every banded 64-bit
-    fingerprint dedup (text simhash, image dhash): vectorized XOR
-    matrix + popcount below ``max_bucket``, chain-linking consecutive
-    (hash, id)-sorted records above it (identical hashes — the dominant
-    degenerate content — stay transitively connected at hamming 0 for a
-    downstream components pass, task memory O(n))."""
+def _hamming_bucket_pairs_fn(max_hamming: int, max_bucket: int):
+    """Per-bucket Hamming-pair kernel of the banded 64-bit simhash
+    dedup: vectorized XOR matrix + popcount below ``max_bucket``,
+    chain-linking consecutive (hash, id)-sorted records above it
+    (identical hashes — the dominant degenerate content — stay
+    transitively connected at hamming 0 for a downstream components
+    pass, task memory O(n))."""
     import pandas as pd
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        recs = sorted(set(zip(g[hash_col], g["doc_id"])))
+        recs = sorted(set(zip(g["simhash"], g["doc_id"])))
         empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
                               "b": pd.Series([], dtype="int64"),
                               "hamming": pd.Series([], dtype="int64")})

@@ -513,7 +513,8 @@ def serp_snippets_indexed(sf_dir: str, queries: "list[str]",
     Returns (query_id, rank, doc_id, score_e6, snippet), rank 1 = best,
     ids in ORIGINAL documents-table space."""
     from search_engine_ray.ops.matching import positional_index
-    from search_engine_ray.ops.sqlcheck import _read_doc_texts, _round_half_away
+    from search_engine_ray.ops.rounding import round_half_away
+    from search_engine_ray.ops.sqlcheck import _read_doc_texts
 
     eng, idmap = positional_index(sf_dir)
     per_query = []
@@ -551,7 +552,7 @@ def serp_snippets_indexed(sf_dir: str, queries: "list[str]",
             rows["query_id"].append(qid)
             rows["rank"].append(rank)
             rows["doc_id"].append(idmap[did])
-            rows["score_e6"].append(int(_round_half_away(
+            rows["score_e6"].append(int(round_half_away(
                 np.array([score * 1e6]))[0]))
             rows["snippet"].append(snippet)
     return pa.table({

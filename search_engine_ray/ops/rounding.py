@@ -1,9 +1,9 @@
-"""Shared SQL-parity rounding kernels.
+"""The SQL-parity rounding kernel.
 
 The oracle comparisons are exact integer matches, so every op must
 scale floats with the SAME convention DuckDB's ``round()`` uses
-(half-AWAY-from-zero — Python's ``round`` is half-even).  One
-definition here; five call sites used to carry private copies.
+(half-AWAY-from-zero — Python's ``round`` and ``np.round`` are
+half-even).  Callers scale first: ``round_half_away(x * 1e4)``.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def e4_halfaway(x: np.ndarray) -> np.ndarray:
-    """round(x * 1e4) half-away-from-zero, as int64 — DuckDB parity."""
-    return (np.sign(x) * np.floor(np.abs(x) * 10000 + 0.5)).astype(np.int64)
-
-
-def e2_halfaway(x: np.ndarray) -> np.ndarray:
-    """round(x * 1e2) half-away-from-zero, as int64 — DuckDB parity."""
-    return (np.sign(x) * np.floor(np.abs(x) * 100 + 0.5)).astype(np.int64)
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """round(x) half-away-from-zero, as int64 — DuckDB parity."""
+    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)

@@ -14,12 +14,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from search_engine_ray.ops.rounding import round_half_away
 from search_engine_ray.text.stopwords import NLTK_ENGLISH_STOPWORDS
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """DuckDB round() is half-AWAY-from-zero; np.round is half-to-even.
-    Scaled-integer oracle columns must round the same way on both sides."""
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
 
 _TOKS_SQL = ("list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),"
@@ -240,85 +236,6 @@ def q_lang_counts(sf_dir: str):
 SQL_LANG_COUNTS = "SELECT lang, count(*) AS n FROM documents GROUP BY lang"
 
 
-# -------------------------------------------------------------------- events
-def q_tumbling(sf_dir: str):
-    from search_engine_ray.ops.events import tumbling_window_agg
-
-    ds = tumbling_window_agg(sf_dir)
-
-    # float sums are association-sensitive; export as 1e-4-scaled integers
-    # so the value hash is exact on both sides
-    def scale_sum(batch: pa.Table) -> pa.Table:
-        sv = _round_half_away(
-            np.asarray(batch.column("sum_value").to_pylist()) * 10000)
-        batch = batch.drop_columns(["sum_value"])
-        return batch.append_column("sum_value_e4", pa.array(sv, pa.int64()))
-
-    return ds.map_batches(scale_sum, batch_format="pyarrow")
-
-
-SQL_TUMBLING = """
-SELECT event_type,
-       (floor(epoch(ts) / 3600))::BIGINT * 3600 AS window_start_s,
-       count(*) AS n,
-       round(sum(value) * 10000)::BIGINT AS sum_value_e4
-FROM events GROUP BY 1, 2
-"""
-
-
-def q_sessionize(sf_dir: str):
-    from search_engine_ray.ops.events import sessionize
-
-    return sessionize(sf_dir)
-
-
-SQL_SESSIONIZE = """
-WITH e AS (
-  SELECT user_id, event_id, floor(epoch(ts))::BIGINT AS ts_s FROM events),
-o AS (
-  SELECT user_id, ts_s,
-         CASE WHEN lag(ts_s) OVER w IS NULL
-                   OR ts_s - lag(ts_s) OVER w > 1800
-              THEN 1 ELSE 0 END AS new_s
-  FROM e WINDOW w AS (PARTITION BY user_id ORDER BY ts_s, event_id)),
-s AS (
-  SELECT user_id, ts_s,
-         sum(new_s) OVER (PARTITION BY user_id ORDER BY ts_s
-                          ROWS UNBOUNDED PRECEDING) AS sid
-  FROM o)
-SELECT user_id,
-       min(ts_s) AS session_start_s,
-       count(*) AS n_events,
-       max(ts_s) - min(ts_s) AS duration_s
-FROM s GROUP BY user_id, sid
-"""
-
-
-def q_event_type_stats(sf_dir: str):
-    from search_engine_ray.ops.events import event_type_stats
-
-    ds = event_type_stats(sf_dir)
-
-    # mean is association-sensitive -> 1e-4-scaled integer; min/max of the
-    # same value set are bit-identical doubles, exported raw
-    def scale_mean(batch: pa.Table) -> pa.Table:
-        mv = _round_half_away(
-            np.asarray(batch.column("mean_value").to_pylist()) * 10000)
-        batch = batch.drop_columns(["mean_value"])
-        return batch.append_column("mean_value_e4", pa.array(mv, pa.int64()))
-
-    return ds.map_batches(scale_mean, batch_format="pyarrow")
-
-
-SQL_EVENT_TYPE_STATS = """
-SELECT event_type, count(*) AS n,
-       min(value) AS min_value,
-       max(value) AS max_value,
-       round(avg(value) * 10000)::BIGINT AS mean_value_e4
-FROM events GROUP BY event_type
-"""
-
-
 # ------------------------------------------------------------- bm25 in SQL
 _BM25_QUERY_TERMS = ("spark", "join", "merge", "window", "batch")
 _BM25_K1, _BM25_B = 1.2, 0.75
@@ -398,7 +315,7 @@ def q_bm25_topk(sf_dir: str, k: int = 20):
         "rank": pa.array(range(1, len(scores) + 1), pa.int64()),
         "doc_id": pa.array(scores["doc_id"].tolist(), pa.int64()),
         "score_e6": pa.array(
-            _round_half_away(scores["contrib"].to_numpy() * 1e6),
+            round_half_away(scores["contrib"].to_numpy() * 1e6),
             pa.int64()),
     })
 
@@ -544,56 +461,6 @@ QUALIFY rank <= 10
 """
 
 
-def q_hybrid_text_vector(sf_dir: str, k: int = 10, rrf_k: int = 60):
-    """TRUE text+vector hybrid search (doc_id and vec_id are 1:1 in
-    this corpus): RRF-fuse the BM25 top-20 for the fixture term query
-    with the exact-cosine top-20 for the fixture query VECTOR (vec 0) —
-    the now-standard dense+sparse retrieval blend, in the same exact
-    integer arithmetic as :func:`q_hybrid_rrf`.  Both sides are
-    existing distributed operators (BM25 partials pipeline; per-batch
-    partial top-k cosine vs a broadcast query matrix)."""
-    from search_engine_ray.ops.similarity import knn_brute
-
-    bm = q_bm25_topk(sf_dir, k=20).to_pandas()
-    kn = knn_brute(sf_dir, query_vec_ids=(0,), k=20).to_pandas()
-
-    contrib: dict[int, int] = {}
-    for df_ in (bm[["doc_id", "rank"]],
-                kn.rename(columns={"vec_id": "doc_id"})[["doc_id",
-                                                         "rank"]]):
-        for did, r in zip(df_["doc_id"].astype(int),
-                          df_["rank"].astype(int)):
-            contrib[did] = contrib.get(did, 0) + 1_000_000 // (rrf_k + r)
-    fused = sorted(contrib.items(), key=lambda x: (-x[1], x[0]))[:k]
-    return pa.table({
-        "rank": pa.array(range(1, len(fused) + 1), pa.int64()),
-        "doc_id": pa.array([d for d, _ in fused], pa.int64()),
-        "rrf_e6": pa.array([s for _, s in fused], pa.int64()),
-    })
-
-
-SQL_HYBRID_TEXT_VECTOR = f"""
-{_BM25_CTES},
-bm AS (SELECT doc_id, rank FROM ranked WHERE rank <= 20),
-qv AS (SELECT CAST(embedding AS DOUBLE[]) AS qe FROM embeddings
-       WHERE vec_id = 0),
-sims AS (SELECT e.vec_id AS doc_id,
-                list_cosine_similarity(CAST(e.embedding AS DOUBLE[]),
-                                       qv.qe) AS cos
-         FROM embeddings e, qv),
-vr AS (SELECT doc_id,
-              row_number() OVER (ORDER BY cos DESC, doc_id) AS rank
-       FROM sims QUALIFY rank <= 20),
-u AS (SELECT doc_id, 1000000 // (60 + rank) AS c FROM bm
-      UNION ALL
-      SELECT doc_id, 1000000 // (60 + rank) AS c FROM vr),
-fused AS (SELECT doc_id, sum(c)::BIGINT AS rrf_e6 FROM u GROUP BY doc_id)
-SELECT row_number() OVER (ORDER BY rrf_e6 DESC, doc_id) AS rank,
-       doc_id, rrf_e6
-FROM fused QUALIFY rank <= 10
-"""
-
-
 SQL_HYBRID_RRF = f"""
 {_BM25_CTES},
 bm AS (SELECT doc_id, rank FROM ranked WHERE rank <= 20),
@@ -610,33 +477,6 @@ FROM fused QUALIFY rank <= 10
 """
 
 
-# ----------------------------------------------------------------------- knn
-def q_knn(sf_dir: str):
-    from search_engine_ray.ops.similarity import knn_brute
-
-    t = knn_brute(sf_dir, query_vec_ids=(0, 1, 2), k=10)
-    cos = _round_half_away(
-        np.asarray(t.column("cosine").to_pylist()) * 1_000_000)
-    t = t.drop_columns(["cosine"])
-    return t.append_column("cosine_e6", pa.array(cos, pa.int64()))
-
-
-SQL_KNN = """
-WITH q AS (SELECT vec_id AS query_id, CAST(embedding AS DOUBLE[]) AS qe
-           FROM embeddings WHERE vec_id IN (0, 1, 2)),
-sims AS (SELECT q.query_id, e.vec_id,
-                list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), q.qe)
-                    AS cos
-         FROM embeddings e, q),
-ranked AS (SELECT query_id, vec_id, cos,
-                  row_number() OVER (PARTITION BY query_id
-                                     ORDER BY cos DESC, vec_id) AS rank
-           FROM sims)
-SELECT query_id, rank, vec_id, round(cos * 1000000)::BIGINT AS cosine_e6
-FROM ranked WHERE rank <= 10
-"""
-
-
 # ----------------------------------------------------- embedding near-dups
 def q_embedding_near_dups(sf_dir: str):
     """Value-checkable LSH near-dup pipeline: a deterministic ×2-scaled
@@ -650,7 +490,7 @@ def q_embedding_near_dups(sf_dir: str):
     ds = embedding_near_dup_pairs(sf_dir, augment_scaled=True)
 
     def scale(batch: pa.Table) -> pa.Table:
-        c = _round_half_away(
+        c = round_half_away(
             np.asarray(batch.column("cosine").to_pylist(),
                        dtype=np.float64) * 1_000_000)
         batch = batch.drop_columns(["cosine"])
@@ -721,35 +561,6 @@ WHERE n_tokens >= 30 AND sum_len >= 4 * n_tokens
 """
 
 
-def q_hopping(sf_dir: str):
-    from search_engine_ray.ops.events import hopping_window_agg
-
-    ds = hopping_window_agg(sf_dir)
-
-    def scale_sum(batch: pa.Table) -> pa.Table:
-        sv = _round_half_away(
-            np.asarray(batch.column("sum_value").to_pylist()) * 10000)
-        batch = batch.drop_columns(["sum_value"])
-        return batch.append_column("sum_value_e4", pa.array(sv, pa.int64()))
-
-    return ds.map_batches(scale_sum, batch_format="pyarrow")
-
-
-SQL_HOPPING = """
-WITH hops AS (SELECT unnest([0, 1, 2, 3]) AS i),
-ev AS (SELECT event_type, floor(epoch(ts))::BIGINT AS ts_s, value
-       FROM events),
-fanout AS (
-  SELECT event_type,
-         (ts_s // 900) * 900 - i * 900 AS window_start_s,
-         value
-  FROM ev, hops)
-SELECT event_type, window_start_s, count(*) AS n,
-       round(sum(value) * 10000)::BIGINT AS sum_value_e4
-FROM fanout GROUP BY event_type, window_start_s
-"""
-
-
 # ------------------------------------------------------- n-gram Jaccard
 def q_ngram_jaccard(sf_dir: str):
     """Exact 3-gram-set Jaccard near-dups (threshold 0.6), e6-scaled."""
@@ -758,7 +569,7 @@ def q_ngram_jaccard(sf_dir: str):
     ds = ngram_jaccard_pairs(sf_dir, threshold=0.6, ngram=3)
 
     def scale(batch: pa.Table) -> pa.Table:
-        j = _round_half_away(
+        j = round_half_away(
             np.asarray(batch.column("jaccard").to_pylist(),
                        dtype=np.float64) * 1_000_000)
         batch = batch.drop_columns(["jaccard"])
@@ -985,7 +796,7 @@ def _ranked_table(pairs, idmap: dict[int, int],
             rows[key].append(gid)
             rows["rank"].append(rank)
             rows["doc_id"].append(idmap[did])
-            rows["score_e6"].append(int(_round_half_away(
+            rows["score_e6"].append(int(round_half_away(
                 np.array([score * 1e6]))[0]))
     return pa.table({
         key: pa.array(rows[key], pa.int64()),
@@ -1766,9 +1577,9 @@ def q_ranking_eval(sf_dir: str, k: int = 10):
                   for (_s, did, _ts) in res]
         rel_ranks = [r for r, g in enumerate(grades, start=1)
                      if g >= thr]
-        mrr = (int(_round_half_away(
+        mrr = (int(round_half_away(
             np.array([1e6 / rel_ranks[0]]))[0]) if rel_ranks else 0)
-        recall = (int(_round_half_away(
+        recall = (int(round_half_away(
             np.array([1e6 * len(rel_ranks) / total_rel]))[0])
             if total_rel else 0)
         rows["query_id"].append(qid)
@@ -1948,221 +1759,6 @@ WHERE i <= greatest(n - {w} + 1, 1)
 SQL_WINNOW_FINGERPRINTS = _winnow_sql()
 
 
-# --------------------------------------------------------- temporal joins
-def q_asof_join(sf_dir: str):
-    from search_engine_ray.ops.joins import asof_join_last_value
-
-    return asof_join_last_value(sf_dir)
-
-
-# The right side is deduped to max-event_id per (user, ts) first so the
-# ASOF tie-break is deterministic and identical to the Ray pipeline's
-# lexsort((event_id, ts)) + searchsorted-right resolution.
-SQL_ASOF_JOIN = """
-WITH l AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us
-           FROM events WHERE event_type = 'click'),
-r0 AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us, value
-       FROM events WHERE event_type = 'purchase'),
-r AS (SELECT user_id, ts_us, arg_max(value, event_id) AS value
-      FROM r0 GROUP BY user_id, ts_us)
-SELECT l.event_id, l.user_id, l.ts_us,
-       coalesce(round(r.value * 10000)::BIGINT, -1) AS last_value_e4,
-       coalesce(r.ts_us, -1) AS last_ts_us
-FROM l ASOF LEFT JOIN r
-  ON l.user_id = r.user_id AND l.ts_us >= r.ts_us
-"""
-
-
-def q_range_join(sf_dir: str):
-    from search_engine_ray.ops.joins import range_join_counts
-
-    return range_join_counts(sf_dir)
-
-
-SQL_RANGE_JOIN = """
-WITH l AS (SELECT event_id, user_id, epoch_us(ts) AS ts_us
-           FROM events WHERE event_type = 'purchase'),
-r AS (SELECT user_id, epoch_us(ts) AS ts_us
-      FROM events WHERE event_type = 'click')
-SELECT l.event_id, l.user_id, l.ts_us,
-       count(r.ts_us)::BIGINT AS n_right_in_window
-FROM l LEFT JOIN r
-  ON l.user_id = r.user_id
- AND r.ts_us BETWEEN l.ts_us - 86400000000 AND l.ts_us
-GROUP BY l.event_id, l.user_id, l.ts_us
-"""
-
-
-# ------------------------------------------------------- sketch operators
-def q_heavy_hitters(sf_dir: str):
-    from search_engine_ray.ops.sketches import heavy_hitters
-
-    return heavy_hitters(sf_dir, min_count=50)
-
-
-SQL_HEAVY_HITTERS = f"""
-WITH toks AS (SELECT unnest({_TOKS_SQL}) AS term FROM documents)
-SELECT term, count(*) AS n FROM toks GROUP BY term HAVING count(*) >= 50
-"""
-
-
-# ------------------------------------------------------ relational (TPC-H)
-def q_pricing_summary(sf_dir: str):
-    from search_engine_ray.ops.relational import pricing_summary
-
-    return pricing_summary(sf_dir)
-
-
-SQL_PRICING_SUMMARY = """
-SELECT l_returnflag, l_linestatus,
-       sum(l_quantity)::BIGINT AS sum_qty,
-       sum(round(l_extendedprice * 10000)::BIGINT)::BIGINT AS sum_base_e4,
-       sum(round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT)::BIGINT
-           AS sum_disc_e4,
-       count(*) AS n
-FROM lineitem
-WHERE l_shipdate <= TIMESTAMP '1998-09-02'
-GROUP BY l_returnflag, l_linestatus
-"""
-
-
-def q_top_orders(sf_dir: str):
-    from search_engine_ray.ops.relational import top_orders_by_revenue
-
-    return top_orders_by_revenue(sf_dir)
-
-
-SQL_TOP_ORDERS = """
-SELECT l_orderkey,
-       sum(round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT)::BIGINT
-           AS revenue_e4
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-WHERE c_mktsegment = 'BUILDING'
-  AND o_orderdate < TIMESTAMP '1997-01-01'
-  AND l_shipdate > TIMESTAMP '1997-01-01'
-GROUP BY l_orderkey
-ORDER BY revenue_e4 DESC, l_orderkey LIMIT 10
-"""
-
-
-def q_nation_revenue(sf_dir: str):
-    from search_engine_ray.ops.relational import nation_revenue
-
-    return nation_revenue(sf_dir)
-
-
-SQL_NATION_REVENUE = """
-SELECT n_name,
-       sum(round(o_totalprice * 10000)::BIGINT)::BIGINT AS revenue_e4,
-       count(*) AS n_orders
-FROM orders
-JOIN customer ON o_custkey = c_custkey
-JOIN nation ON c_nationkey = n_nationkey
-GROUP BY n_name
-"""
-
-
-def q_label_centroids(sf_dir: str):
-    from search_engine_ray.ops.similarity import label_centroid_sums
-
-    return label_centroid_sums(sf_dir)
-
-
-SQL_LABEL_CENTROIDS = """
-SELECT label::BIGINT AS label, d.dim::BIGINT AS dim,
-       sum(round(embedding[d.dim + 1] * 10000)::BIGINT)::BIGINT AS sum_e4,
-       count(*) AS n
-FROM embeddings
-CROSS JOIN (SELECT unnest(range(64)) AS dim) d
-GROUP BY 1, 2
-"""
-
-
-def q_value_quantiles(sf_dir: str):
-    from search_engine_ray.ops.events import value_quantiles_per_type
-
-    return value_quantiles_per_type(sf_dir)
-
-
-SQL_VALUE_QUANTILES = """
-SELECT event_type, count(*) AS n,
-       quantile_disc(value, 0.25) AS p25,
-       quantile_disc(value, 0.5) AS p50,
-       quantile_disc(value, 0.75) AS p75,
-       quantile_disc(value, 0.95) AS p95
-FROM events GROUP BY event_type
-"""
-
-
-def q_inactive_customers(sf_dir: str):
-    from search_engine_ray.ops.relational import inactive_customers
-
-    return inactive_customers(sf_dir)
-
-
-SQL_INACTIVE_CUSTOMERS = """
-SELECT c_custkey, c_mktsegment FROM customer c
-WHERE NOT EXISTS (
-  SELECT 1 FROM orders o
-  WHERE o.o_custkey = c.c_custkey
-    AND o.o_orderdate >= TIMESTAMP '2001-01-01')
-"""
-
-
-def q_json_field_stats(sf_dir: str):
-    from search_engine_ray.ops.events import json_field_stats
-
-    return json_field_stats(sf_dir)
-
-
-SQL_JSON_FIELD_STATS = """
-SELECT event_type,
-       sum(json_extract(props, '$.k')::BIGINT)::BIGINT AS sum_k,
-       min(json_extract(props, '$.k')::BIGINT) AS min_k,
-       max(json_extract(props, '$.k')::BIGINT) AS max_k,
-       count(json_extract(props, '$.k')) AS n
-FROM events GROUP BY event_type
-"""
-
-
-def q_returned_customers(sf_dir: str):
-    from search_engine_ray.ops.relational import returned_item_customers
-
-    return returned_item_customers(sf_dir)
-
-
-SQL_RETURNED_CUSTOMERS = """
-SELECT c_custkey, c_name, n_name,
-       sum(round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT)::BIGINT
-           AS revenue_e4
-FROM customer
-JOIN orders ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-JOIN nation ON c_nationkey = n_nationkey
-WHERE o_orderdate >= TIMESTAMP '1997-01-01'
-  AND o_orderdate < TIMESTAMP '1997-04-01'
-  AND l_returnflag = 'R'
-GROUP BY c_custkey, c_name, n_name
-ORDER BY revenue_e4 DESC, c_custkey LIMIT 20
-"""
-
-
-def q_value_histogram(sf_dir: str):
-    from search_engine_ray.ops.events import value_histogram
-
-    return value_histogram(sf_dir)
-
-
-SQL_VALUE_HISTOGRAM = """
-SELECT floor(value / 5.0)::BIGINT AS bucket,
-       count(*) AS n,
-       sum(round(value * 10000)::BIGINT)::BIGINT AS sum_value_e4
-FROM events GROUP BY bucket
-"""
-
-
 def q_pii_scan(sf_dir: str):
     from search_engine_ray.ops.textstats import pii_scan
 
@@ -2269,73 +1865,6 @@ GROUP BY b.lang
 """
 
 
-def q_distinct_users_daily(sf_dir: str):
-    from search_engine_ray.ops.events import distinct_users_daily
-
-    return distinct_users_daily(sf_dir)
-
-
-SQL_DISTINCT_USERS_DAILY = """
-SELECT (floor(epoch(ts) / 86400))::BIGINT AS day,
-       count(DISTINCT user_id) AS n_users
-FROM events GROUP BY day
-"""
-
-
-def q_user_rolling_sum3(sf_dir: str):
-    from search_engine_ray.ops.events import user_rolling_sum3
-
-    return user_rolling_sum3(sf_dir)
-
-
-SQL_USER_ROLLING_SUM3 = """
-SELECT event_id,
-       sum(round(value * 10000)::BIGINT)
-           OVER (PARTITION BY user_id ORDER BY ts, event_id
-                 ROWS 2 PRECEDING)::BIGINT AS roll3_e4
-FROM events
-"""
-
-
-def q_promo_revenue(sf_dir: str):
-    from search_engine_ray.ops.relational import promo_revenue_share
-
-    return promo_revenue_share(sf_dir)
-
-
-SQL_PROMO_REVENUE = """
-SELECT sum(CASE WHEN p_type = 'PROMO'
-                THEN round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT
-                ELSE 0 END)::BIGINT AS promo_revenue_e4,
-       sum(round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT)::BIGINT
-           AS total_revenue_e4
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE l_shipdate >= TIMESTAMP '1996-03-01'
-  AND l_shipdate < TIMESTAMP '1996-04-01'
-"""
-
-
-def q_local_supplier_volume(sf_dir: str):
-    from search_engine_ray.ops.relational import local_supplier_volume
-
-    return local_supplier_volume(sf_dir)
-
-
-SQL_LOCAL_SUPPLIER_VOLUME = """
-SELECT n_name,
-       sum(round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT)::BIGINT
-           AS revenue_e4
-FROM customer, orders, lineitem, supplier, nation, region
-WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-  AND r_name = 'ASIA'
-  AND o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate < TIMESTAMP '1997-01-01'
-GROUP BY n_name
-"""
-
-
 def q_source_mix(sf_dir: str):
     from search_engine_ray.ops.textstats import source_mix_sample
 
@@ -2377,27 +1906,6 @@ FROM s
 """
 
 
-def q_approx_quantiles(sf_dir: str):
-    from search_engine_ray.ops.sketches import approx_quantiles_hist
-
-    return approx_quantiles_hist(sf_dir)
-
-
-SQL_APPROX_QUANTILES = """
-WITH h AS (
-  SELECT floor(value / 0.5)::BIGINT AS b, count(*) AS c
-  FROM events GROUP BY b),
-t AS (SELECT b, sum(c) OVER (ORDER BY b) AS cum FROM h),
-n AS (SELECT count(*) AS cnt FROM events),
-q AS (SELECT * FROM (VALUES (50), (90), (99)) v(pct))
-SELECT q.pct,
-       ((min(t.b) + 1) * 5000)::BIGINT AS est_e4
-FROM q, n, t
-WHERE t.cum >= (q.pct * n.cnt + 99) // 100
-GROUP BY q.pct
-"""
-
-
 def q_norm_fingerprint(sf_dir: str):
     from search_engine_ray.ops.textstats import norm_fingerprint
 
@@ -2416,19 +1924,6 @@ FROM documents
 
 
 SQL_NORM_FINGERPRINT = _norm_fp_sql()
-
-
-def q_customer_order_counts(sf_dir: str):
-    from search_engine_ray.ops.relational import customer_order_counts
-
-    return customer_order_counts(sf_dir)
-
-
-SQL_CUSTOMER_ORDER_COUNTS = """
-SELECT c_custkey, count(o_orderkey)::BIGINT AS n_orders
-FROM customer LEFT JOIN orders ON c_custkey = o_custkey
-GROUP BY c_custkey
-"""
 
 
 def q_curate_summary(sf_dir: str):
@@ -2514,20 +2009,6 @@ GROUP BY d.lang
 SQL_CURATE_SUMMARY = _curate_sql()
 
 
-def q_latest_event(sf_dir: str):
-    from search_engine_ray.ops.events import latest_event_per_user
-
-    return latest_event_per_user(sf_dir)
-
-
-SQL_LATEST_EVENT = """
-SELECT user_id, event_id, epoch_us(ts)::BIGINT AS ts_us, event_type
-FROM events
-QUALIFY row_number() OVER (PARTITION BY user_id
-                           ORDER BY ts DESC, event_id DESC) = 1
-"""
-
-
 # ------------------------------------------------------- round-3 ops
 def q_stratified_sample(sf_dir: str):
     from search_engine_ray.ops.textstats import stratified_sample_k
@@ -2585,57 +2066,6 @@ dg AS (
 bad AS (SELECT DISTINCT doc_id FROM dg WHERE g IN (SELECT g FROM bg))
 SELECT doc_id FROM base
 WHERE doc_id % 97 <> 0 AND doc_id NOT IN (SELECT doc_id FROM bad)
-"""
-
-
-def q_late_priority(sf_dir: str):
-    from search_engine_ray.ops.relational import late_order_priority_counts
-
-    return late_order_priority_counts(sf_dir)
-
-
-SQL_LATE_PRIORITY = """
-SELECT o_orderpriority, count(*) AS n_late
-FROM orders o
-WHERE EXISTS (SELECT 1 FROM lineitem l
-              WHERE l.l_orderkey = o.o_orderkey
-                AND l.l_shipdate > o.o_orderdate + INTERVAL 60 DAY)
-GROUP BY o_orderpriority
-"""
-
-
-def q_large_orders(sf_dir: str):
-    from search_engine_ray.ops.relational import large_orders
-
-    return large_orders(sf_dir)
-
-
-SQL_LARGE_ORDERS = """
-WITH big AS (
-  SELECT l_orderkey, sum(l_quantity)::BIGINT AS sum_qty
-  FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > 120)
-SELECT c_name, o_custkey, o_orderkey, o_orderdate,
-       round(o_totalprice * 10000)::BIGINT AS totalprice_e4, sum_qty
-FROM big JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-ORDER BY totalprice_e4 DESC, o_orderkey LIMIT 100
-"""
-
-
-def q_priority_shipstatus(sf_dir: str):
-    from search_engine_ray.ops.relational import priority_shipstatus_counts
-
-    return priority_shipstatus_counts(sf_dir)
-
-
-SQL_PRIORITY_SHIPSTATUS = """
-SELECT l_linestatus,
-       sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                THEN 1 ELSE 0 END)::BIGINT AS high_count,
-       sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                THEN 0 ELSE 1 END)::BIGINT AS low_count
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-GROUP BY l_linestatus
 """
 
 
@@ -2718,29 +2148,6 @@ FROM pairs GROUP BY id_a, id_b HAVING count(*) >= 20
 """
 
 
-# ------------------------------------------------------- round-4 additions
-def q_nation_pair_volume(sf_dir: str):
-    from search_engine_ray.ops.relational import nation_pair_volume
-
-    return nation_pair_volume(sf_dir)
-
-
-SQL_NATION_PAIR_VOLUME = """
-SELECT sn.n_name AS supp_nation, cn.n_name AS cust_nation,
-       year(l_shipdate)::BIGINT AS l_year,
-       sum(round(l_extendedprice * (1 - l_discount) * 10000)::BIGINT
-           )::BIGINT AS revenue_e4
-FROM lineitem
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation sn ON s_nationkey = sn.n_nationkey
-JOIN nation cn ON c_nationkey = cn.n_nationkey
-WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1997-01-01'
-GROUP BY 1, 2, 3
-"""
-
-
 def q_prefix_dup_groups(sf_dir: str):
     from search_engine_ray.ops.textstats import prefix_dup_groups
 
@@ -2774,93 +2181,6 @@ e AS (SELECT cnt.doc_id,
 SELECT tot.doc_id, tot.n_tokens,
        coalesce(round(e.ent * 10000), 0)::BIGINT AS entropy_e4
 FROM tot LEFT JOIN e ON tot.doc_id = e.doc_id
-"""
-
-
-def q_revenue_delta(sf_dir: str):
-    from search_engine_ray.ops.relational import revenue_delta
-
-    return revenue_delta(sf_dir)
-
-
-SQL_REVENUE_DELTA = """
-SELECT sum(round(l_extendedprice * l_discount * 10000))::BIGINT
-         AS revenue_e4,
-       count(*)::BIGINT AS n
-FROM lineitem
-WHERE l_shipdate >= DATE '1996-01-01' AND l_shipdate < DATE '1997-01-01'
-  AND round(l_discount * 100)::BIGINT BETWEEN 5 AND 7
-  AND l_quantity < 24
-"""
-
-
-def q_top_supplier(sf_dir: str):
-    from search_engine_ray.ops.relational import top_supplier
-
-    return top_supplier(sf_dir)
-
-
-SQL_TOP_SUPPLIER = """
-WITH rev AS (
-  SELECT l_suppkey AS s_suppkey,
-         sum(round(l_extendedprice * (1 - l_discount) * 10000))::BIGINT
-           AS total_revenue_e4
-  FROM lineitem
-  WHERE l_shipdate >= DATE '1996-01-01'
-    AND l_shipdate < DATE '1996-04-01'
-  GROUP BY 1)
-SELECT rev.s_suppkey, s_name, total_revenue_e4
-FROM rev JOIN supplier ON supplier.s_suppkey = rev.s_suppkey
-WHERE total_revenue_e4 = (SELECT max(total_revenue_e4) FROM rev)
-ORDER BY rev.s_suppkey
-"""
-
-
-def q_small_qty_revenue(sf_dir: str):
-    from search_engine_ray.ops.relational import small_qty_revenue
-
-    return small_qty_revenue(sf_dir)
-
-
-SQL_SMALL_QTY_REVENUE = """
-WITH pk AS (SELECT p_partkey FROM part
-            WHERE p_brand = 'Brand#23' AND p_size >= 5),
-st AS (SELECT l_partkey, count(*)::BIGINT AS cnt,
-              sum(l_quantity)::BIGINT AS tot
-       FROM lineitem JOIN pk ON l_partkey = p_partkey
-       GROUP BY 1)
-SELECT coalesce(sum(round(l_extendedprice * 10000))::BIGINT, 0)
-         AS price_e4_sum,
-       count(*)::BIGINT AS n
-FROM lineitem JOIN st ON lineitem.l_partkey = st.l_partkey
-WHERE 5 * l_quantity::BIGINT * cnt < tot
-"""
-
-
-def q_idle_rich_customers(sf_dir: str):
-    from search_engine_ray.ops.relational import idle_rich_customers
-
-    return idle_rich_customers(sf_dir)
-
-
-SQL_IDLE_RICH_CUSTOMERS = """
-WITH pos AS (
-  SELECT count(*)::BIGINT AS c,
-         sum(round(c_acctbal * 100))::BIGINT AS s
-  FROM customer WHERE round(c_acctbal * 100) > 0),
-rich AS (
-  SELECT c_custkey, c_nationkey,
-         round(c_acctbal * 100)::BIGINT AS bal_e2
-  FROM customer, pos
-  WHERE round(c_acctbal * 100)::BIGINT * c > s),
-idle AS (
-  SELECT r.* FROM rich r
-  WHERE NOT EXISTS (SELECT 1 FROM orders o
-                    WHERE o.o_custkey = r.c_custkey
-                      AND o.o_orderdate >= DATE '2000-01-01'))
-SELECT c_nationkey, count(*)::BIGINT AS numcust,
-       sum(bal_e2)::BIGINT AS totacctbal_e2
-FROM idle GROUP BY 1
 """
 
 
@@ -2911,26 +2231,6 @@ WHERE source IN (SELECT source FROM ok)
 """
 
 
-def q_disjunctive_revenue(sf_dir: str):
-    from search_engine_ray.ops.relational import disjunctive_revenue
-
-    return disjunctive_revenue(sf_dir)
-
-
-SQL_DISJUNCTIVE_REVENUE = """
-SELECT coalesce(sum(round(l_extendedprice * (1 - l_discount)
-                          * 10000))::BIGINT, 0) AS revenue_e4,
-       count(*)::BIGINT AS n
-FROM lineitem JOIN part ON p_partkey = l_partkey
-WHERE (p_brand = 'Brand#12' AND p_size BETWEEN 1 AND 5
-       AND l_quantity BETWEEN 1 AND 11)
-   OR (p_brand = 'Brand#23' AND p_size BETWEEN 1 AND 10
-       AND l_quantity BETWEEN 10 AND 20)
-   OR (p_brand = 'Brand#34' AND p_size BETWEEN 1 AND 15
-       AND l_quantity BETWEEN 20 AND 30)
-"""
-
-
 def q_doc_salient_term(sf_dir: str):
     from search_engine_ray.ops.textstats import doc_salient_term
 
@@ -2945,82 +2245,6 @@ SELECT doc_id, t AS term, tf, df
 FROM tf JOIN df USING (t)
 QUALIFY row_number() OVER (PARTITION BY doc_id
                            ORDER BY tf DESC, df ASC, t ASC) = 1
-"""
-
-
-def q_market_share(sf_dir: str):
-    from search_engine_ray.ops.relational import market_share
-
-    return market_share(sf_dir)
-
-
-SQL_MARKET_SHARE = """
-WITH rn AS (SELECT n_nationkey FROM nation
-            JOIN region ON n_regionkey = r_regionkey
-            WHERE r_name = 'AMERICA'),
-tgt AS (SELECT s_suppkey FROM supplier
-        JOIN nation ON s_nationkey = n_nationkey
-        WHERE n_name = 'NATION_3')
-SELECT year(o_orderdate)::BIGINT AS o_year,
-       sum(CASE WHEN l_suppkey IN (SELECT s_suppkey FROM tgt)
-                THEN round(l_extendedprice * (1 - l_discount)
-                           * 10000)::BIGINT
-                ELSE 0 END)::BIGINT AS nation_revenue_e4,
-       sum(round(l_extendedprice * (1 - l_discount)
-                 * 10000))::BIGINT AS total_revenue_e4
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-WHERE o_orderdate >= DATE '1995-01-01'
-  AND o_orderdate < DATE '1997-01-01'
-  AND c_nationkey IN (SELECT n_nationkey FROM rn)
-GROUP BY 1
-"""
-
-
-# ------------------------------------------------------- round-4 ops (late)
-def q_waiting_suppliers(sf_dir: str):
-    from search_engine_ray.ops.relational import waiting_suppliers
-
-    return waiting_suppliers(sf_dir)
-
-
-SQL_WAITING_SUPPLIERS = """
-WITH l AS (SELECT l_orderkey, l_suppkey, l_shipdate FROM lineitem),
-o AS (SELECT o_orderkey, o_orderdate FROM orders WHERE o_orderstatus = 'F')
-SELECT s_name, n_name, count(*)::BIGINT AS numwait
-FROM supplier s
-JOIN l l1 ON s.s_suppkey = l1.l_suppkey
-JOIN o ON o.o_orderkey = l1.l_orderkey
-JOIN nation n ON s.s_nationkey = n.n_nationkey
-WHERE l1.l_shipdate > o.o_orderdate + INTERVAL 60 DAY
-  AND EXISTS (SELECT 1 FROM l l2
-              WHERE l2.l_orderkey = l1.l_orderkey
-                AND l2.l_suppkey <> l1.l_suppkey)
-  AND NOT EXISTS (SELECT 1 FROM l l3
-                  WHERE l3.l_orderkey = l1.l_orderkey
-                    AND l3.l_suppkey <> l1.l_suppkey
-                    AND l3.l_shipdate > o.o_orderdate + INTERVAL 60 DAY)
-GROUP BY s_name, n_name
-ORDER BY numwait DESC, s_name
-LIMIT 100
-"""
-
-
-def q_part_supplier_diversity(sf_dir: str):
-    from search_engine_ray.ops.relational import part_supplier_diversity
-
-    return part_supplier_diversity(sf_dir)
-
-
-SQL_PART_SUPPLIER_DIVERSITY = """
-SELECT p_brand, p_type, p_size::BIGINT AS p_size,
-       count(DISTINCT l_suppkey)::BIGINT AS supplier_cnt
-FROM part JOIN lineitem ON p_partkey = l_partkey
-WHERE p_brand <> 'Brand#13' AND p_type <> 'MEDIUM'
-  AND l_suppkey NOT IN (SELECT s_suppkey FROM supplier
-                        WHERE s_name LIKE '%7')
-GROUP BY 1, 2, 3
 """
 
 
@@ -3205,89 +2429,6 @@ WHERE cum <= CASE source {cases} ELSE {TOKEN_BUDGET_DEFAULT} END
 SQL_TOKEN_BUDGET_MIX = _token_budget_sql()
 
 
-def q_retention_cohorts(sf_dir: str):
-    from search_engine_ray.ops.events import retention_cohorts
-
-    return retention_cohorts(sf_dir)
-
-
-SQL_RETENTION_COHORTS = """
-WITH uw AS (SELECT DISTINCT user_id,
-                   (epoch_us(ts) // (7 * 86400 * 1000000::BIGINT))::BIGINT AS w
-            FROM events),
-c AS (SELECT user_id, min(w) AS cohort FROM uw GROUP BY user_id)
-SELECT c.cohort AS cohort_week, (uw.w - c.cohort)::BIGINT AS k,
-       count(DISTINCT uw.user_id)::BIGINT AS n_users
-FROM uw JOIN c USING (user_id)
-WHERE uw.w - c.cohort <= 3
-GROUP BY 1, 2
-"""
-
-
-def q_dataset_profile(sf_dir: str):
-    from search_engine_ray.ops.profiling import dataset_profile
-
-    return dataset_profile(sf_dir)
-
-
-def _profile_col_sql(c: str) -> str:
-    return (f"SELECT '{c}' AS col_name, count(*)::BIGINT AS n_rows, "
-            f"(count(*) - count({c}))::BIGINT AS n_null, "
-            f"count(DISTINCT {c})::BIGINT AS n_distinct FROM events")
-
-
-SQL_DATASET_PROFILE = " UNION ALL ".join(
-    _profile_col_sql(c)
-    for c in ("event_id", "user_id", "event_type", "value"))
-
-
-def q_snapshot_diff(sf_dir: str):
-    from search_engine_ray.ops.profiling import snapshot_diff
-
-    return snapshot_diff(sf_dir)
-
-
-SQL_SNAPSHOT_DIFF = """
-WITH old AS (SELECT doc_id, md5(text) AS h FROM documents),
-new AS (
-  SELECT doc_id,
-         md5(CASE WHEN doc_id % 7 = 0 THEN text || ' v2' ELSE text END)
-           AS h
-  FROM documents WHERE doc_id % 13 <> 0
-  UNION ALL
-  SELECT doc_id + 1000000, md5(text) FROM documents WHERE doc_id % 11 = 0)
-SELECT coalesce(o.doc_id, n.doc_id)::BIGINT AS doc_id,
-       CASE WHEN o.doc_id IS NULL THEN 'added'
-            WHEN n.doc_id IS NULL THEN 'removed'
-            ELSE 'changed' END AS status
-FROM old o FULL OUTER JOIN new n ON o.doc_id = n.doc_id
-WHERE o.doc_id IS NULL OR n.doc_id IS NULL OR o.h <> n.h
-"""
-
-
-def q_funnel_conversion(sf_dir: str):
-    from search_engine_ray.ops.events import funnel_conversion
-
-    return funnel_conversion(sf_dir)
-
-
-SQL_FUNNEL_CONVERSION = """
-WITH e AS (SELECT user_id, event_type, epoch_us(ts) AS t FROM events),
-s1 AS (SELECT user_id, min(t) AS t1 FROM e
-       WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (SELECT e.user_id, min(t) AS t2 FROM e JOIN s1 USING (user_id)
-       WHERE event_type = 'click' AND t > t1
-         AND t <= t1 + 86400 * 1000000::BIGINT GROUP BY e.user_id),
-s3 AS (SELECT e.user_id, min(t) AS t3 FROM e JOIN s2 USING (user_id)
-       WHERE event_type = 'purchase' AND t > t2
-         AND t <= t2 + 86400 * 1000000::BIGINT GROUP BY e.user_id)
-SELECT 1::BIGINT AS step, 'view' AS step_type,
-       count(*)::BIGINT AS n_users FROM s1
-UNION ALL SELECT 2, 'click', count(*) FROM s2
-UNION ALL SELECT 3, 'purchase', count(*) FROM s3
-"""
-
-
 def q_weighted_sample(sf_dir: str):
     from search_engine_ray.ops.textstats import weighted_sample_topk
 
@@ -3349,41 +2490,6 @@ SELECT doc_id, min_gap FROM (
   SELECT p1.doc_id, min(abs(p1.i - p2.i))::BIGINT AS min_gap
   FROM p1 JOIN p2 USING (doc_id) GROUP BY p1.doc_id)
 WHERE min_gap <= 3
-"""
-
-
-def q_source_quality_centroids(sf_dir: str):
-    from search_engine_ray.ops.similarity import source_quality_centroid_sums
-
-    return source_quality_centroid_sums(sf_dir)
-
-
-SQL_SOURCE_QUALITY_CENTROIDS = f"""
-WITH keep AS (SELECT doc_id, source FROM documents
-              WHERE len({_TOKS_SQL}) >= 55)
-SELECT k.source, d.dim::BIGINT AS dim,
-       sum(round(e.embedding[d.dim + 1] * 10000)::BIGINT)::BIGINT
-         AS sum_e4,
-       count(*) AS n
-FROM keep k JOIN embeddings e ON k.doc_id = e.vec_id
-CROSS JOIN (SELECT unnest(range(64)) AS dim) d
-GROUP BY 1, 2
-"""
-
-
-def q_customer_order_ranks(sf_dir: str):
-    from search_engine_ray.ops.relational import customer_order_ranks
-
-    return customer_order_ranks(sf_dir)
-
-
-SQL_CUSTOMER_ORDER_RANKS = """
-SELECT o_custkey, o_orderkey,
-       round(o_totalprice * 10000)::BIGINT AS totalprice_e4,
-       row_number() OVER (PARTITION BY o_custkey
-                          ORDER BY round(o_totalprice * 10000)::BIGINT
-                                   DESC, o_orderkey)::BIGINT AS rnk
-FROM orders
 """
 
 
@@ -3787,105 +2893,6 @@ ORDER BY term
 """
 
 
-def q_topk_per_window(sf_dir: str):
-    """Windowed/continuous top-k (streaming partial-top-k pruning per
-    batch, bucketed final): 3 highest-value events per (event_type,
-    hour window)."""
-    from search_engine_ray.ops.events import topk_per_window
-
-    return topk_per_window(sf_dir, window_s=3600, k=3)
-
-
-SQL_TOPK_PER_WINDOW = """
-WITH base AS (
-  SELECT event_type,
-         (floor(epoch(ts) / 3600))::BIGINT * 3600 AS window_start_s,
-         event_id,
-         round(value * 10000)::BIGINT AS value_e4
-  FROM events),
-ranked AS (
-  SELECT *, row_number() OVER (
-      PARTITION BY event_type, window_start_s
-      ORDER BY value_e4 DESC, event_id) AS rank
-  FROM base)
-SELECT event_type, window_start_s, event_id, value_e4, rank::BIGINT AS rank
-FROM ranked WHERE rank <= 3
-"""
-
-
-def q_click_pagerank(sf_dir: str):
-    """PageRank over the click co-visitation graph (props.k nodes):
-    distributed edge extraction, integer-exact power iteration."""
-    from search_engine_ray.ops.graph import click_pagerank
-
-    return click_pagerank(sf_dir, iters=10)
-
-
-def _click_edges_ctes() -> str:
-    """ONE source for the click-graph edge derivation CTEs (ev -> evk
-    -> pairs -> edges) shared by the PageRank and triangle mirrors —
-    the edge rule cannot diverge between them."""
-    return """ev AS (
-  -- integer-token gate: TRY_CAST alone would ROUND float tokens
-  -- ('1.5' -> 2), diverging from the op's ints-only node rule
-  SELECT user_id, ts, event_id,
-         CASE WHEN regexp_matches(
-                json_extract_string(props, '$.k'), '^-?[0-9]+$')
-              THEN TRY_CAST(
-                json_extract_string(props, '$.k') AS BIGINT) END AS k
-  FROM events
-), evk AS (SELECT * FROM ev WHERE k IS NOT NULL),
-pairs AS (
-  SELECT k AS src,
-         lead(k) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS dst
-  FROM evk
-), edges AS (
-  SELECT src, dst, count(*) AS w FROM pairs WHERE dst IS NOT NULL
-  GROUP BY src, dst
-)"""
-
-
-def _pagerank_sql(iters: int = 10, scale: int = 10**12,
-                  damping_pct: int = 85) -> str:
-    """Unrolled fixed-iteration PageRank mirror (recursive CTEs cannot
-    aggregate over the recursive reference, so each step is its own
-    CTE).  Same integer arithmetic as ops/graph.pagerank_from_edges:
-    the per-edge contribution identity (r//wout)*w + ((r%wout)*w)//wout
-    equals floor(r*w/wout) exactly, and DuckDB's BIGINT sums promote to
-    HUGEINT, so both sides are order-free and hash-identical."""
-    jump = 100 - damping_pct
-    steps = []
-    prev = "pr0"
-    for t in range(1, iters + 1):
-        steps.append(f"""pr{t} AS (
-  SELECT nodes.node,
-         ({jump} * {scale}) // (100 * (SELECT n FROM const))
-         + ({damping_pct} * COALESCE(c.s, 0)) // 100 AS r
-  FROM nodes LEFT JOIN (
-    SELECT e.dst AS node,
-           sum((p.r // o.wout) * e.w + ((p.r % o.wout) * e.w) // o.wout)
-             AS s
-    FROM edges e JOIN {prev} p ON p.node = e.src
-    JOIN outdeg o ON o.src = e.src
-    GROUP BY e.dst) c ON c.node = nodes.node
-)""")
-        prev = f"pr{t}"
-    return f"""
-WITH {_click_edges_ctes()}, nodes AS (
-  SELECT DISTINCT node FROM
-    (SELECT src AS node FROM edges UNION ALL SELECT dst FROM edges)
-), outdeg AS (SELECT src, sum(w) AS wout FROM edges GROUP BY src),
-const AS (SELECT count(*) AS n FROM nodes),
-pr0 AS (
-  SELECT node, {scale} // (SELECT n FROM const) AS r FROM nodes
-), {', '.join(steps)}
-SELECT node, CAST(r AS BIGINT) AS rank_e12 FROM {prev} ORDER BY node
-"""
-
-
-SQL_CLICK_PAGERANK = _pagerank_sql()
-
-
 def q_substring_search(sf_dir: str):
     """Infix search served from the trigram index (rarest-first posting
     intersection + exact verify); the scan op is the same contract."""
@@ -3949,70 +2956,6 @@ SELECT doc_id,
        CAST(row_number() OVER (
          ORDER BY md5(concat('0:', doc_id)), doc_id) - 1 AS BIGINT) AS pos
 FROM documents
-"""
-
-
-def q_hashed_bow(sf_dir: str):
-    """Feature-hashed bag-of-words (hashing trick): sparse (doc_id,
-    dim, tf) doc vectors with no vocabulary pass."""
-    from search_engine_ray.ops.similarity import hashed_bow
-
-    return hashed_bow(sf_dir, dims=64)
-
-
-SQL_HASHED_BOW = """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
-)
-SELECT doc_id,
-       CAST(CAST('0x' || substr(md5(tok), 1, 8) AS BIGINT) % 64
-            AS BIGINT) AS dim,
-       CAST(count(*) AS BIGINT) AS tf
-FROM toks WHERE tok <> ''
-GROUP BY doc_id, dim
-"""
-
-
-def q_text_knn_hashed(sf_dir: str):
-    """Model-free text kNN: integer dot product of feature-hashed BoW
-    vectors vs doc 3 (exact arithmetic; ties break by doc_id)."""
-    from search_engine_ray.ops.similarity import text_knn_hashed
-
-    return text_knn_hashed(sf_dir, query_doc_id=3, k=10)
-
-
-SQL_TEXT_KNN_HASHED = """
-WITH v AS (
-  SELECT doc_id,
-         CAST(CAST('0x' || substr(md5(tok), 1, 8) AS BIGINT) % 64
-              AS BIGINT) AS dim,
-         count(*) AS tf
-  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS tok
-        FROM documents)
-  WHERE tok <> '' GROUP BY doc_id, dim
-), q AS (SELECT dim, tf FROM v WHERE doc_id = 3)
-SELECT v.doc_id, CAST(sum(v.tf * q.tf) AS BIGINT) AS dot
-FROM v JOIN q USING (dim)
-WHERE v.doc_id <> 3
-GROUP BY v.doc_id
-ORDER BY dot DESC, v.doc_id LIMIT 10
-"""
-
-
-def q_fuzzy_name_pairs(sf_dir: str):
-    """Edit-distance-1 self-join over customer names via deletion-
-    signature blocking + exact verify (the SQL mirror is the brute
-    cross join, proving the blocking loses nothing)."""
-    from search_engine_ray.ops.linkage import fuzzy_name_pairs
-
-    return fuzzy_name_pairs(sf_dir)
-
-
-SQL_FUZZY_NAME_PAIRS = """
-SELECT a.c_custkey AS k1, b.c_custkey AS k2
-FROM customer a JOIN customer b ON a.c_custkey < b.c_custkey
-WHERE levenshtein(a.c_name, b.c_name) <= 1
-ORDER BY k1, k2
 """
 
 
@@ -4400,50 +3343,6 @@ ON s.query_id = h.query_id AND s.doc_id = h.doc_id
 """
 SQL_SERP_SNIPPETS_INDEXED = SQL_SERP_SNIPPETS_INDEXED.replace(
     "{QORDER}", _serp_qorder_values())
-
-
-def q_click_triangles(sf_dir: str):
-    """Per-node triangle counts over the undirected click graph
-    (distributed edge derivation + min-node wedge check)."""
-    from search_engine_ray.ops.graph import click_triangles
-
-    return click_triangles(sf_dir)
-
-
-SQL_CLICK_TRIANGLES = f"""
-WITH {_click_edges_ctes()},
-ue AS (SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-       FROM edges WHERE src <> dst),
-tri AS (SELECT e1.a AS x, e1.b AS y, e2.b AS z
-        FROM ue e1 JOIN ue e2 ON e2.a = e1.b
-        JOIN ue e3 ON e3.a = e1.a AND e3.b = e2.b)
-SELECT node, count(*)::BIGINT AS n_tri FROM (
-  SELECT x AS node FROM tri
-  UNION ALL SELECT y FROM tri
-  UNION ALL SELECT z FROM tri)
-GROUP BY node ORDER BY node
-"""
-
-
-def q_related_items(sf_dir: str):
-    """Item-item co-visitation Jaccard ("people also viewed")."""
-    from search_engine_ray.ops.graph import related_items
-
-    return related_items(sf_dir)
-
-
-SQL_RELATED_ITEMS = f"""
-WITH {_click_edges_ctes()},
-ui AS (SELECT DISTINCT user_id, k FROM evk),
-pc AS (SELECT x.k AS a, y.k AS b, count(*)::BIGINT AS co
-       FROM ui x JOIN ui y ON x.user_id = y.user_id AND x.k < y.k
-       GROUP BY 1, 2 HAVING count(*) >= 2),
-ic AS (SELECT k, count(*)::BIGINT AS n FROM ui GROUP BY k)
-SELECT pc.a, pc.b, pc.co,
-       (1000000 * pc.co) // (ia.n + ib.n - pc.co) AS jaccard_e6
-FROM pc JOIN ic ia ON ia.k = pc.a JOIN ic ib ON ib.k = pc.b
-ORDER BY pc.a, pc.b
-"""
 
 
 def q_c4_quality_flags(sf_dir: str):

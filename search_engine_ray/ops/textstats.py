@@ -17,12 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from search_engine_ray.ops.rounding import e4_halfaway
-from search_engine_ray.text.stopwords import NLTK_ENGLISH_STOPWORDS
+from search_engine_ray.ops.rounding import round_half_away
 from search_engine_ray.text.tokenizer import simple_tokenize
-
-_STOP100 = frozenset(NLTK_ENGLISH_STOPWORDS)
-_DIGITS = re.compile(r"[0-9]")
 
 # GPT-2-style pre-tokenizer, simplified to the RE2-compatible subset
 # (no lookahead; explicit whitespace class so Python `re` and DuckDB's
@@ -67,29 +63,6 @@ def bpe_token_stats(batch: pa.Table) -> pa.Table:
         "doc_id": batch.column("doc_id"),
         "n_bpe_tokens": pa.array(
             [len(_BPE_RE.findall(t.lower())) for t in texts], pa.int64()),
-    })
-
-
-def quality_features(batch: pa.Table) -> pa.Table:
-    """Per-doc quality-scoring features (length / stopword ratio / digit
-    ratio / mean token length) — the usual pre-training filters."""
-    texts = batch.column("text").to_pylist()
-    n_tok, n_stop, sum_len, n_digit_tok = [], [], [], []
-    for t in texts:
-        ts = simple_tokenize(t)
-        n_tok.append(len(ts))
-        n_stop.append(sum(1 for x in ts if x in _STOP100))
-        sum_len.append(sum(len(x) for x in ts))
-        n_digit_tok.append(sum(1 for x in ts if _DIGITS.search(x)))
-    n_tok_np = np.array(n_tok, dtype=np.float64)
-    safe = np.maximum(n_tok_np, 1.0)
-    return pa.table({
-        "doc_id": batch.column("doc_id"),
-        "n_tokens": pa.array(n_tok, pa.int64()),
-        "stopword_ratio": pa.array(np.array(n_stop) / safe, pa.float64()),
-        "digit_token_ratio": pa.array(np.array(n_digit_tok) / safe,
-                                      pa.float64()),
-        "mean_token_len": pa.array(np.array(sum_len) / safe, pa.float64()),
     })
 
 
@@ -1148,7 +1121,7 @@ def token_entropy_scores(sf_dir: str):
             _, cnt = np.unique(ts, return_counts=True)
             p = cnt / n
             e = float(-(p * np.log2(p)).sum())
-            ent.append(int(e4_halfaway(np.array([e]))[0]))
+            ent.append(int(round_half_away(np.array([e * 1e4]))[0]))
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "n_tokens": pa.array(n_tok, pa.int64()),
