@@ -102,9 +102,9 @@ def asof_join_last_value(sf_dir: str, left_type: str = "click",
         # matched value exported as a 1e-4-scaled round-half-away integer
         # (canonical hash on both sides, the q_tumbling convention);
         # sentinel -1 only where UNMATCHED — gated on found, not sign
-        from search_engine_ray.ops.rounding import e4_halfaway
+        from search_engine_ray.ops.rounding import round_half_away
 
-        lv_e4 = np.where(found, e4_halfaway(lv), -1).astype(np.int64)
+        lv_e4 = np.where(found, round_half_away(lv * 1e4), -1).astype(np.int64)
         lts = np.where(found, lts, -1)
         return pd.DataFrame({
             "event_id": le, "user_id": g["user_id"].iloc[0],

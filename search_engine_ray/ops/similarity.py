@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from search_engine_ray.ops.rounding import e4_halfaway
+from search_engine_ray.ops.rounding import round_half_away
 
 
 def _read_embeddings(sf_dir: str):
@@ -352,7 +352,7 @@ def label_centroid_sums(sf_dir: str):
                          dtype=np.float64)
         labels = batch.column("label").to_numpy()
         n, d = emb.shape
-        e4 = e4_halfaway(emb)
+        e4 = round_half_away(emb * 1e4)
         df = pd.DataFrame({
             "label": np.repeat(labels.astype(np.int64), d),
             "dim": np.tile(np.arange(d, dtype=np.int64), n),
@@ -680,7 +680,7 @@ def source_quality_centroid_sums(sf_dir: str, min_tokens: int = 55):
     def eprep(batch: pa.Table) -> pa.Table:
         emb = np.asarray(batch.column("embedding").to_pylist(),
                          dtype=np.float64)
-        e4 = e4_halfaway(emb)
+        e4 = round_half_away(emb * 1e4)
         n = len(e4)
         return pa.table({
             "key": batch.column("vec_id").cast(pa.int64()),

@@ -2893,6 +2893,71 @@ ORDER BY term
 """
 
 
+def _click_edges_ctes() -> str:
+    """ONE source for the click-graph edge derivation CTEs (ev -> evk
+    -> pairs -> edges) shared by the PageRank and triangle mirrors —
+    the edge rule cannot diverge between them."""
+    return """ev AS (
+  -- integer-token gate: TRY_CAST alone would ROUND float tokens
+  -- ('1.5' -> 2), diverging from the op's ints-only node rule
+  SELECT user_id, ts, event_id,
+         CASE WHEN regexp_matches(
+                json_extract_string(props, '$.k'), '^-?[0-9]+$')
+              THEN TRY_CAST(
+                json_extract_string(props, '$.k') AS BIGINT) END AS k
+  FROM events
+), evk AS (SELECT * FROM ev WHERE k IS NOT NULL),
+pairs AS (
+  SELECT k AS src,
+         lead(k) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS dst
+  FROM evk
+), edges AS (
+  SELECT src, dst, count(*) AS w FROM pairs WHERE dst IS NOT NULL
+  GROUP BY src, dst
+)"""
+
+
+def _pagerank_sql(iters: int = 10, scale: int = 10**12,
+                  damping_pct: int = 85) -> str:
+    """Unrolled fixed-iteration PageRank mirror (recursive CTEs cannot
+    aggregate over the recursive reference, so each step is its own
+    CTE).  Same integer arithmetic as ops/graph.pagerank_from_edges:
+    the per-edge contribution identity (r//wout)*w + ((r%wout)*w)//wout
+    equals floor(r*w/wout) exactly, and DuckDB's BIGINT sums promote to
+    HUGEINT, so both sides are order-free and hash-identical."""
+    jump = 100 - damping_pct
+    steps = []
+    prev = "pr0"
+    for t in range(1, iters + 1):
+        steps.append(f"""pr{t} AS (
+  SELECT nodes.node,
+         ({jump} * {scale}) // (100 * (SELECT n FROM const))
+         + ({damping_pct} * COALESCE(c.s, 0)) // 100 AS r
+  FROM nodes LEFT JOIN (
+    SELECT e.dst AS node,
+           sum((p.r // o.wout) * e.w + ((p.r % o.wout) * e.w) // o.wout)
+             AS s
+    FROM edges e JOIN {prev} p ON p.node = e.src
+    JOIN outdeg o ON o.src = e.src
+    GROUP BY e.dst) c ON c.node = nodes.node
+)""")
+        prev = f"pr{t}"
+    return f"""
+WITH {_click_edges_ctes()}, nodes AS (
+  SELECT DISTINCT node FROM
+    (SELECT src AS node FROM edges UNION ALL SELECT dst FROM edges)
+), outdeg AS (SELECT src, sum(w) AS wout FROM edges GROUP BY src),
+const AS (SELECT count(*) AS n FROM nodes),
+pr0 AS (
+  SELECT node, {scale} // (SELECT n FROM const) AS r FROM nodes
+), {', '.join(steps)}
+SELECT node, CAST(r AS BIGINT) AS rank_e12 FROM {prev} ORDER BY node
+"""
+
+
+SQL_CLICK_PAGERANK = _pagerank_sql()
+
+
 def q_substring_search(sf_dir: str):
     """Infix search served from the trigram index (rarest-first posting
     intersection + exact verify); the scan op is the same contract."""
@@ -2956,6 +3021,45 @@ SELECT doc_id,
        CAST(row_number() OVER (
          ORDER BY md5(concat('0:', doc_id)), doc_id) - 1 AS BIGINT) AS pos
 FROM documents
+"""
+
+
+SQL_HASHED_BOW = """
+WITH toks AS (
+  SELECT doc_id, unnest(string_split(text, ' ')) AS tok FROM documents
+)
+SELECT doc_id,
+       CAST(CAST('0x' || substr(md5(tok), 1, 8) AS BIGINT) % 64
+            AS BIGINT) AS dim,
+       CAST(count(*) AS BIGINT) AS tf
+FROM toks WHERE tok <> ''
+GROUP BY doc_id, dim
+"""
+
+
+SQL_TEXT_KNN_HASHED = """
+WITH v AS (
+  SELECT doc_id,
+         CAST(CAST('0x' || substr(md5(tok), 1, 8) AS BIGINT) % 64
+              AS BIGINT) AS dim,
+         count(*) AS tf
+  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS tok
+        FROM documents)
+  WHERE tok <> '' GROUP BY doc_id, dim
+), q AS (SELECT dim, tf FROM v WHERE doc_id = 3)
+SELECT v.doc_id, CAST(sum(v.tf * q.tf) AS BIGINT) AS dot
+FROM v JOIN q USING (dim)
+WHERE v.doc_id <> 3
+GROUP BY v.doc_id
+ORDER BY dot DESC, v.doc_id LIMIT 10
+"""
+
+
+SQL_FUZZY_NAME_PAIRS = """
+SELECT a.c_custkey AS k1, b.c_custkey AS k2
+FROM customer a JOIN customer b ON a.c_custkey < b.c_custkey
+WHERE levenshtein(a.c_name, b.c_name) <= 1
+ORDER BY k1, k2
 """
 
 

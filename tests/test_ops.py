@@ -1,6 +1,6 @@
 """Training-data ops: dedup families find planted duplicates; text
 statistics and fingerprints match their SQL-checkable definitions on
-edge cases."""
+edge cases; IVF ANN recalls most of brute-force."""
 
 import numpy as np
 import pyarrow as pa
@@ -84,6 +84,46 @@ def test_embedding_near_dups_selfconsistent(ray_session, tmp_path_factory):
     }), str(d / "embeddings.parquet"))
     pairs = embedding_near_dup_pairs(str(d), threshold=0.98).to_pandas()
     assert (0, 50) in set(zip(pairs["a"], pairs["b"]))
+
+
+def test_knn_ivf_recall(ray_session):
+    from search_engine_ray.ops.similarity import knn_brute, knn_ivf
+
+    sf = "/root/testdata/sf0.001"
+    brute = knn_brute(sf, (0, 1, 2), k=10).to_pandas()
+    ivf = knn_ivf(sf, (0, 1, 2), k=10, n_centroids=8, nprobe=4).to_pandas()
+    recalls = []
+    for q in (0, 1, 2):
+        b = set(brute[brute["query_id"] == q]["vec_id"])
+        a = set(ivf[ivf["query_id"] == q]["vec_id"])
+        recalls.append(len(a & b) / len(b))
+    assert np.mean(recalls) >= 0.5  # nprobe=4/8 buckets
+
+
+def test_knn_pq_recall(ray_session):
+    """PQ-ADC shortlist + exact re-rank recalls the exact L2 top-10."""
+    import pyarrow.parquet as pq_
+
+    from search_engine_ray.ops.similarity import knn_pq
+
+    sf = "/root/testdata/sf0.01"
+    t = pq_.read_table(sf + "/embeddings.parquet")
+    ids = t.column("vec_id").to_numpy()
+    E = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
+    res = knn_pq(sf, (0, 1, 2), k=10).to_pandas()
+    recalls = []
+    for q in (0, 1, 2):
+        qv = E[ids == q][0]
+        d = ((E - qv) ** 2).sum(1)
+        truth = set(ids[np.lexsort((ids, d))[:10]].tolist())
+        got = set(res[res["query_id"] == q]["vec_id"])
+        # re-ranked dists must be the EXACT L2 of the returned ids
+        sub = res[res["query_id"] == q]
+        exact = ((E[np.searchsorted(ids, sub["vec_id"].to_numpy())]
+                  - qv) ** 2).sum(1)
+        assert np.allclose(sub["dist"].to_numpy(), exact)
+        recalls.append(len(truth & got) / 10)
+    assert np.mean(recalls) >= 0.8  # measured 1.0; margin for data drift
 
 
 def test_bpe_train_merges_parity(ray_session):
@@ -356,6 +396,106 @@ def test_winnow_fingerprints_shift_robust():
     assert s["doc_id"].tolist() == [11] and len(s) == 1
 
 
+def _events_table(rows):
+    """rows: list of (event_id, ts_s, user_id, event_type, value)."""
+    return pa.table({
+        "event_id": pa.array([r[0] for r in rows], pa.int64()),
+        "ts": pa.array([r[1] * 1_000_000 for r in rows],
+                       pa.timestamp("us")),
+        "user_id": pa.array([r[2] for r in rows], pa.int64()),
+        "event_type": pa.array([r[3] for r in rows], pa.string()),
+        "value": pa.array([r[4] for r in rows], pa.float64()),
+        "props": pa.array(["{}"] * len(rows), pa.string()),
+    })
+
+
+def test_asof_join_ties_and_unmatched(ray_session, tmp_path):
+    from search_engine_ray.ops.joins import asof_join_last_value
+
+    rows = [
+        # user 1: purchase tie at ts=100 (event_id 3 wins), click after
+        (1, 100, 1, "purchase", 2.0),
+        (3, 100, 1, "purchase", 5.0),
+        (4, 150, 1, "click", 0.0),
+        # click exactly AT a purchase ts matches it (<=)
+        (5, 100, 1, "click", 0.0),
+        # user 2: click BEFORE any purchase -> sentinel
+        (6, 50, 2, "click", 0.0),
+        (7, 60, 2, "purchase", -3.25),
+        (8, 70, 2, "click", 0.0),
+        # user 3: clicks only (empty right side in the group)
+        (9, 10, 3, "click", 0.0),
+    ]
+    pq.write_table(_events_table(rows), str(tmp_path / "events.parquet"))
+    out = (asof_join_last_value(str(tmp_path)).to_pandas()
+           .set_index("event_id").sort_index())
+    assert out.loc[4, "last_value_e4"] == 50000          # tie -> id 3
+    assert out.loc[5, "last_value_e4"] == 50000          # ts == match
+    assert out.loc[6, "last_value_e4"] == -1             # before any
+    assert out.loc[6, "last_ts_us"] == -1
+    assert out.loc[8, "last_value_e4"] == -32500         # negative value
+    assert out.loc[9, "last_value_e4"] == -1             # no right side
+    assert len(out) == 5
+
+
+def test_range_join_window_edges(ray_session, tmp_path):
+    from search_engine_ray.ops.joins import range_join_counts
+
+    w = 100
+    rows = [
+        (1, 1000, 1, "purchase", 0.0),
+        (2, 900, 1, "click", 0.0),    # exactly at lower edge: counted
+        (3, 899, 1, "click", 0.0),    # just outside
+        (4, 1000, 1, "click", 0.0),   # exactly at upper edge: counted
+        (5, 1001, 1, "click", 0.0),   # after: not counted
+        (6, 500, 2, "purchase", 0.0), # no clicks for user 2
+    ]
+    pq.write_table(_events_table(rows), str(tmp_path / "events.parquet"))
+    out = (range_join_counts(str(tmp_path), window_s=w).to_pandas()
+           .set_index("event_id"))
+    assert out.loc[1, "n_right_in_window"] == 2
+    assert out.loc[6, "n_right_in_window"] == 0
+    assert len(out) == 2
+
+
+def test_heavy_hitters_boundary_and_soundness(ray_session, tmp_path):
+    from search_engine_ray.ops.sketches import heavy_hitters
+
+    # 'hot' appears exactly 40x, 'warm' 39x, scattered across many docs
+    # mixed with unique junk so no single batch holds the full count
+    docs = []
+    for i in range(40):
+        docs.append(f"hot junk{i}a junk{i}b")
+    for i in range(39):
+        docs.append(f"warm junk{i}c junk{i}d")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(docs)), pa.int64()),
+        "text": pa.array(docs, pa.string()),
+        "lang": pa.array(["en"] * len(docs), pa.string()),
+        "source": pa.array(["t"] * len(docs), pa.string()),
+        "n_chars": pa.array([len(d) for d in docs], pa.int64()),
+    }), str(tmp_path / "documents.parquet"))
+    out = heavy_hitters(str(tmp_path), min_count=40,
+                        k_counters=2048).to_pandas()
+    assert dict(zip(out["term"], out["n"])) == {"hot": 40}
+
+    with pytest.raises(ValueError):
+        # N ~ 237 tokens, N/k = 237/2 > min_count -> must refuse
+        heavy_hitters(str(tmp_path), min_count=40, k_counters=2)
+
+
+def test_hll_distinct_accuracy(ray_session, tmp_path):
+    from search_engine_ray.ops.sketches import hll_distinct
+
+    n = 30000
+    rows = [(i, 1000 + i, int(i * 37 % 20011), "x", 0.0)
+            for i in range(n)]  # 20011 distinct user ids (prime modulus)
+    pq.write_table(_events_table(rows), str(tmp_path / "events.parquet"))
+    out = hll_distinct(str(tmp_path)).to_pandas()
+    est = int(out["n_distinct_est"].iloc[0])
+    assert abs(est - 20011) / 20011 < 0.03
+
+
 @pytest.fixture(scope="module")
 def edge_docs_dir(ray_session, tmp_path_factory):
     """documents.parquet with degenerate texts (empty, punct-only,
@@ -476,6 +616,119 @@ def test_curate_write_roundtrip(ray_session, tmp_path):
     assert _pc.min(tbl.column("chunk")).as_py() >= 0
 
 
+def test_kmeans_deterministic_and_nontrivial(ray_session):
+    """Lloyd's over sf0.001 embeddings: deterministic across reruns,
+    assignments cover >1 cluster, and every row is assigned."""
+    from search_engine_ray.ops.similarity import kmeans_assign
+
+    sf = "/root/testdata/sf0.001"
+    a = kmeans_assign(sf, k=4, iters=3).to_pandas().sort_values(
+        "vec_id").reset_index(drop=True)
+    b = kmeans_assign(sf, k=4, iters=3).to_pandas().sort_values(
+        "vec_id").reset_index(drop=True)
+    assert (a["cluster"] == b["cluster"]).all()
+    assert a["cluster"].between(0, 3).all()
+    assert a["cluster"].nunique() > 1
+    import pyarrow.parquet as _pq
+
+    n = _pq.ParquetFile(f"{sf}/embeddings.parquet").metadata.num_rows
+    assert len(a) == n
+
+
+def test_kmeans_improves_over_iterations(ray_session):
+    """More Lloyd iterations must not increase within-cluster SSE."""
+    import pyarrow.dataset as pads
+
+    from search_engine_ray.ops.similarity import kmeans_assign
+
+    sf = "/root/testdata/sf0.001"
+    t = pads.dataset(f"{sf}/embeddings.parquet").to_table(
+        columns=["vec_id", "embedding"]).to_pandas()
+    x = np.array([np.asarray(v, dtype=np.float64)
+                  for v in t["embedding"]])
+    vid_pos = {int(v): i for i, v in enumerate(t["vec_id"])}
+
+    def sse(assign_df):
+        cost = 0.0
+        for c, grp in assign_df.groupby("cluster"):
+            xs = x[[vid_pos[int(v)] for v in grp["vec_id"]]]
+            mu = xs.mean(axis=0)
+            cost += ((xs - mu) ** 2).sum()
+        return cost
+
+    c1 = sse(kmeans_assign(sf, k=4, iters=1).to_pandas())
+    c4 = sse(kmeans_assign(sf, k=4, iters=4).to_pandas())
+    assert c4 <= c1 + 1e-6
+
+
+def test_cms_bounds_vs_exact(ray_session, tmp_path):
+    """CMS guarantee on a skewed corpus: every estimate >= true count,
+    and overestimation is bounded by the sketch's eps*N (here 2N/w,
+    far looser than the min-of-d expectation)."""
+    from collections import Counter
+
+    from search_engine_ray.ops.sketches import _CMS_W, cms_term_estimates
+    from search_engine_ray.text.tokenizer import simple_tokenize
+
+    docs = []
+    for i in range(120):
+        # heavy head terms + a long unique tail to force collisions
+        docs.append(f"alpha beta alpha tail{i}a tail{i}b tail{i}c")
+    for i in range(80):
+        docs.append(f"beta gamma tail{i}d tail{i}e")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(docs)), pa.int64()),
+        "text": pa.array(docs, pa.string()),
+        "lang": pa.array(["en"] * len(docs), pa.string()),
+        "source": pa.array(["t"] * len(docs), pa.string()),
+        "n_chars": pa.array([len(d) for d in docs], pa.int64()),
+    }), str(tmp_path / "documents.parquet"))
+
+    exact = Counter()
+    for d in docs:
+        exact.update(simple_tokenize(d))
+    n_total = sum(exact.values())
+
+    out = cms_term_estimates(str(tmp_path), probe_min_count=80)
+    df = out.to_pandas()
+    assert set(df["term"]) == {"alpha", "beta", "gamma"}
+    for _, r in df.iterrows():
+        assert r["n_exact"] == exact[r["term"]]
+        assert r["n_est"] >= r["n_exact"]          # never underestimates
+        assert r["n_est"] - r["n_exact"] <= 2 * n_total // _CMS_W
+
+
+def test_embedding_pca_matches_numpy(ray_session):
+    """Distributed moment-partial PCA equals single-machine numpy PCA on
+    the full table (up to the fixed e6 quantization of the partials)."""
+    import pyarrow.dataset as pads
+
+    from search_engine_ray.ops.similarity import embedding_pca_projection
+
+    sf = "/root/testdata/sf0.001"
+    out = embedding_pca_projection(sf).to_pandas().sort_values("vec_id")
+
+    t = pads.dataset(f"{sf}/embeddings.parquet").to_table(
+        columns=["vec_id", "embedding"]).to_pandas().sort_values("vec_id")
+    x = np.array([np.asarray(v, dtype=np.float64) for v in t["embedding"]])
+    mu = x.mean(axis=0)
+    cov = np.cov(x, rowvar=False, bias=True)
+    w, v = np.linalg.eigh(cov)
+    pc = v[:, -1]
+    nz = np.flatnonzero(np.abs(pc) > 1e-12)
+    if len(nz) and pc[nz[0]] < 0:
+        pc = -pc
+    ref = (x - mu) @ pc
+
+    got = out["pc1_e6"].to_numpy(np.int64) / 1e6
+    # sign of the whole projection may flip only if the eigvec sign rule
+    # resolved differently under quantization — accept either
+    err = min(np.abs(got - ref).max(), np.abs(got + ref).max())
+    assert err < 1e-3
+    # and it is a real component: projections are not all equal
+    assert got.std() > 1e-3
+
+
 def _write_docs(d, ids, texts):
     pq.write_table(pa.table({
         "doc_id": pa.array(ids, pa.int64()),
@@ -525,3 +778,36 @@ def test_simhash_degenerate_bucket_chain_links(ray_session, tmp_path):
     # O(n) pairs, not O(n^2): 4 bands x (n-1) consecutive links max
     assert len(pairs) <= 4 * (n - 1)
 
+
+def test_knn_tie_break_keeps_smallest_vec_ids(ray_session, tmp_path):
+    """Duplicate embeddings: partial top-k must keep the smallest
+    vec_ids among equal cosines (regression: argpartition kept an
+    arbitrary subset of the tied candidates)."""
+    from search_engine_ray.ops.similarity import knn_brute
+
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=8)
+    # 30 identical vectors (ids 0..29) + 10 distinct others
+    embs = [base.copy() for _ in range(30)] + \
+        [rng.normal(size=8) for _ in range(10)]
+    pq.write_table(pa.table({
+        "vec_id": pa.array(list(range(40)), pa.int64()),
+        "embedding": pa.array([list(map(float, e)) for e in embs],
+                              pa.list_(pa.float64())),
+    }), str(tmp_path / "embeddings.parquet"))
+    out = knn_brute(str(tmp_path), query_vec_ids=(0,), k=10).to_pandas()
+    # all 30 dups have cosine 1.0 with the query; ranks 1..10 must be
+    # vec_ids 0..9 exactly
+    assert out["vec_id"].tolist() == list(range(10))
+
+
+def test_topk_ties_by_id_unit():
+    from search_engine_ray.ops.similarity import _topk_ties_by_id
+
+    vals = np.array([0.5, 0.9, 0.9, 0.9, 0.1])
+    ids = np.array([50, 40, 30, 20, 10])
+    top = _topk_ties_by_id(vals, ids, 2, ascending=False)
+    assert sorted(ids[top].tolist()) == [20, 30]  # ties -> smallest ids
+    top = _topk_ties_by_id(vals, ids, 2, ascending=True)
+    assert sorted(ids[top].tolist()) == [10, 50]
+    assert len(_topk_ties_by_id(vals, ids, 9, ascending=True)) == 5

@@ -6,6 +6,12 @@ functions too) with ``ast``, starting from ``cli.py``, ``pipelines/``,
 mirror that only the driver contract loads, so the walk does not pass
 through it; a module that only it (or only the tests) imports is dead
 code and belongs deleted, not maintained.
+
+``PENDING_DELETION`` names the unreached modules that are still here:
+their unit tests keep running until the change that deletes them.  The
+test pins the set exactly, so a new orphan fails it, and so does a
+listed module that is deleted or becomes reached without the list
+shrinking.
 """
 
 import ast
@@ -16,6 +22,8 @@ ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     PKG)
 START_DIRS = ("pipelines", "query", "index", "text")
 NOT_TRAVERSED = {f"{PKG}.ops.sqlcheck"}
+PENDING_DELETION = {f"{PKG}.ops.{m}" for m in (
+    "graph", "joins", "linkage", "similarity", "sketches")}
 
 
 def _module_file(name: str) -> str | None:
@@ -87,7 +95,8 @@ def test_every_ops_module_is_reached():
     ops_dir = os.path.join(ROOT, "ops")
     ops = {f"{PKG}.ops.{f[:-3]}" for f in os.listdir(ops_dir)
            if f.endswith(".py") and f != "__init__.py"}
-    unreached = sorted(ops - _reached() - NOT_TRAVERSED)
-    assert not unreached, (
+    unreached = ops - _reached() - NOT_TRAVERSED
+    assert unreached == PENDING_DELETION, (
         "ops modules that cli/pipelines/query/index/text never import: "
-        f"{unreached}")
+        f"{sorted(unreached)}; pending deletion: "
+        f"{sorted(PENDING_DELETION)}")

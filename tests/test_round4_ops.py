@@ -1,6 +1,7 @@
 """Non-default-parameter and invariant tests for the late round-4 ops
 (the driver/mirror gate only exercises default arguments)."""
 
+import duckdb
 import numpy as np
 import pytest
 
@@ -216,6 +217,42 @@ def test_lsh_short_docs_never_pair(ray_session, tmp_path):
     assert not any(5 in p for p in lsh_pairs | exact_pairs)
 
 
+def test_kmeans_fewer_vectors_than_clusters(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq_
+
+    from search_engine_ray.ops.similarity import kmeans_assign
+
+    t = pa.table({
+        "vec_id": pa.array([0, 1, 2], pa.int64()),
+        "embedding": pa.array([[float(i)] * 64 for i in range(3)],
+                              pa.list_(pa.float32())),
+        "label": pa.array([0, 1, 2], pa.int32())})
+    d = tmp_path / "tiny_emb"
+    d.mkdir()
+    pq_.write_table(t, d / "embeddings.parquet")
+    out = kmeans_assign(str(d), k=8, iters=2).to_pandas()
+    assert len(out) == 3  # no IndexError; every vector assigned
+
+
+def test_approx_quantiles_empty_table(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq_
+
+    from search_engine_ray.ops.sketches import approx_quantiles_hist
+
+    t = pa.table({"value": pa.array([], pa.float64()),
+                  "ts": pa.array([], pa.timestamp("us")),
+                  "event_type": pa.array([], pa.string())})
+    dd = tmp_path / "empty_ev"
+    dd.mkdir()
+    pq_.write_table(t, dd / "events.parquet")
+    out = approx_quantiles_hist(str(dd))
+    if hasattr(out, "to_pandas"):
+        out = out.to_pandas()
+    assert (out["est_e4"] == 0).all()
+
+
 def test_input_fingerprint_same_size_mtime_content_change(tmp_path):
     """A same-size rewrite with a pinned mtime must still rotate the
     stage fingerprint (the footer digest catches it) — otherwise
@@ -270,6 +307,26 @@ def test_k_zero_returns_full_list_quirk(ray_session, tmp_path):
     assert len(ro) == len(re_) > 1          # full candidate list
     assert [d for _, d, _ in ro] == [d for _, d, _ in re_]
     assert o.search("fox", k=-1) == [] and eng.search("fox", k=-1) == []
+
+
+def test_bloom_membership_bounds(ray_session):
+    """Bloom filters never false-negative; false positives stay within
+    a loose multiple of the theoretical (1 - e^{-kn/m})^k bound."""
+    import numpy as np
+
+    from search_engine_ray.ops.sketches import (
+        _BLOOM_K,
+        _BLOOM_M,
+        bloom_doc_membership,
+    )
+
+    out = bloom_doc_membership(SF01, n_absent=500).to_pandas()
+    row = out.set_index("probe_kind")
+    assert row.loc["present", "n_hits"] == row.loc["present", "n_probes"]
+    n = int(row.loc["present", "n_probes"])
+    fpr_bound = (1 - np.exp(-_BLOOM_K * n / _BLOOM_M)) ** _BLOOM_K
+    fpr = row.loc["absent", "n_hits"] / row.loc["absent", "n_probes"]
+    assert fpr <= max(3 * fpr_bound, 0.02)
 
 
 def test_curate_write_refuses_foreign_dir(ray_session, tmp_path):
@@ -364,4 +421,5 @@ def test_docmeta_sidecar_shared_not_replicated(ray_session, tmp_path):
     eng3 = SearchEngine(idx)
     eng3.search("covid vaccine news", k=5, mode="bm25")
     assert len(eng3._meta["ids"]) == len(eng._meta["ids"]) + 50
+
 

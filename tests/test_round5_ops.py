@@ -167,6 +167,7 @@ def test_treebank_positions_phrase(ray_session, tmp_path):
     assert len(got) > 0
 
 
+# ------------------------------------------------------------ JPEG codec
 def test_distributed_phrase_matches_inprocess(pos_sf):
     """Shard-actor phrase/proximity serving returns exactly the
     in-process positional engine's results (doc-sharding makes phrase
@@ -232,6 +233,19 @@ def test_distributed_phrase_without_positions_raises(ray_session, tmp_path):
         dist.proximity_docs("new", "york")
 
 
+def test_hll_distinct_empty_table(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.ops.sketches import hll_distinct
+
+    pq.write_table(
+        pa.table({"user_id": pa.array([], pa.int64())}),
+        str(tmp_path / "events.parquet"))
+    out = hll_distinct(str(tmp_path), table="events", column="user_id")
+    assert out.column("n_distinct_est").to_pylist() == [0]
+
+
 def test_positional_index_cache_tracks_content(ray_session, tmp_path):
     """Regenerating documents.parquet at the same path must invalidate
     the /tmp positional-index cache (regression: the cache keyed on the
@@ -276,6 +290,7 @@ def test_distributed_lazy_positions_refetch(pos_sf):
         eng.phrase_docs(["query", "scan"]).tolist()
 
 
+# ------------------------------------------------------------- GIF codec
 def test_bpe_encode_counts_matches_reference_encoder(ray_session):
     """bpe_encode_counts (distributed, memoized word-level encode) must
     equal an independent single-process BPE encoder applying the same
@@ -380,6 +395,74 @@ def test_autocomplete_consistent_with_prefix_search():
         assert sub["term"].tolist() == want["term"].tolist()
         assert sub["df"].tolist() == want["df"].tolist()
         assert sub["rank"].tolist() == list(range(1, len(want) + 1))
+
+
+def test_click_pagerank_planted_and_sql(ray_session, tmp_path):
+    """Planted click graph: a hub page every session returns to must
+    out-rank leaf pages; values match the unrolled-CTE DuckDB mirror
+    exactly (integer arithmetic on both sides).  Includes a null-k
+    event (dropped before pairing) and a single-event user (no edge)."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.ops.graph import click_pagerank
+    from search_engine_ray.ops.sqlcheck import SQL_CLICK_PAGERANK
+
+    # user 1: 0->1->0->2->0->3->0 (hub 0, every leaf returns to it);
+    # user 2: 1->2->3; user 3: solo;
+    # user 4 has a null-k event between 2 and 3 -> edge 2->3 still forms
+    rows = [(1, k) for k in (0, 1, 0, 2, 0, 3, 0)] + \
+           [(2, k) for k in (1, 2, 3)] + [(3, 7)] + \
+           [(4, 2), (4, None), (4, 3)]
+    props = ["{}" if k is None else '{"k": %d}' % k for _, k in rows]
+    # user 5 exercises the k-extraction rule: int, nested (dropped),
+    # string-int, float (dropped), bool (dropped), int -> edges
+    # 1->5 and 5->2 only
+    tricky = ['{"k": 1}', '{"a": {"k": 9}}', '{"k": "5"}',
+              '{"k": 1.5}', '{"k": true}', '{"k": 2}']
+    rows += [(5, None)] * len(tricky)
+    props += tricky
+    n = len(rows)
+    tbl = pa.table({
+        "event_id": pa.array(range(n), pa.int64()),
+        "ts": pa.array([1_700_000_000_000_000 + i * 1_000_000
+                        for i in range(n)], pa.timestamp("us")),
+        "user_id": pa.array([u for u, _ in rows], pa.int64()),
+        "event_type": pa.array(["view"] * n, pa.string()),
+        "value": pa.array([1.0] * n, pa.float64()),
+        "props": pa.array(props, pa.string()),
+    })
+    pq.write_table(tbl, tmp_path / "events.parquet")
+    got = click_pagerank(str(tmp_path), iters=10).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"'{tmp_path}/events.parquet'")
+    want = con.execute(SQL_CLICK_PAGERANK).df()
+    assert got["node"].tolist() == want["node"].tolist()
+    assert got["rank_e12"].tolist() == want["rank_e12"].tolist()
+    r = got.set_index("node")["rank_e12"]
+    assert 7 not in r.index          # solo user contributes no node
+    assert 9 not in r.index          # nested {"a":{"k":9}} is NOT a k
+    assert 5 in r.index              # string-int "5" IS a k
+    assert r[0] > r[1] and r[0] > r[2] and r[0] > r[3]  # hub wins
+    assert r.sum() <= 10**12         # mass never exceeds the scale
+
+
+def test_click_pagerank_cycle_symmetry():
+    """A 2-cycle with equal weights converges to equal ranks, and the
+    empty edge set returns the typed empty table."""
+    import pandas as pd
+
+    from search_engine_ray.ops.graph import pagerank_from_edges
+
+    out = pagerank_from_edges(pd.DataFrame(
+        {"src": [10, 20], "dst": [20, 10], "w": [3, 3]})).to_pandas()
+    assert out["rank_e12"].nunique() == 1
+    empty = pagerank_from_edges(pd.DataFrame(
+        {"src": [], "dst": [], "w": []}))
+    assert empty.num_rows == 0
+    assert empty.column_names == ["node", "rank_e12"]
 
 
 def test_substring_index_matches_scan_and_sql(ray_session):
@@ -573,6 +656,100 @@ def test_epoch_order_sql_and_seed_properties(ray_session):
     assert sorted(other["pos"]) == list(range(len(other)))
 
 
+def test_hashed_bow_matches_sql(ray_session):
+    """Feature-hashed BoW == the md5 SQL mirror at sf0.001; norms are
+    token counts (mass conservation)."""
+    import duckdb
+
+    from search_engine_ray.ops.similarity import hashed_bow
+    from search_engine_ray.ops.sqlcheck import SQL_HASHED_BOW
+
+    sf = "/root/testdata/sf0.001"
+    got = (hashed_bow(sf).to_pandas()
+           .sort_values(["doc_id", "dim"]).reset_index(drop=True))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"'{sf}/documents.parquet'")
+    want = (con.execute(SQL_HASHED_BOW).df()
+            .sort_values(["doc_id", "dim"]).reset_index(drop=True))
+    assert got.values.tolist() == want.values.tolist()
+    # per-doc tf mass == non-empty token count
+    tok = duckdb.sql(
+        f"SELECT doc_id, len(list_filter(string_split(text, ' '), "
+        f"x -> x <> '')) AS n FROM '{sf}/documents.parquet'"
+    ).df().set_index("doc_id")["n"]
+    mass = got.groupby("doc_id")["tf"].sum()
+    assert (mass == tok.loc[mass.index]).all()
+
+
+def test_text_knn_hashed_matches_sql(ray_session):
+    """Hashed-BoW integer-dot kNN == the SQL self-join mirror, and a
+    missing query doc returns the typed empty table."""
+    import duckdb
+
+    from search_engine_ray.ops.similarity import text_knn_hashed
+    from search_engine_ray.ops.sqlcheck import SQL_TEXT_KNN_HASHED
+
+    sf = "/root/testdata/sf0.001"
+    got = text_knn_hashed(sf, query_doc_id=3, k=10).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"'{sf}/documents.parquet'")
+    want = con.execute(SQL_TEXT_KNN_HASHED).df()
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["dot"].tolist() == want["dot"].tolist()
+    assert len(got) == 10 and got["dot"].is_monotonic_decreasing
+    missing = text_knn_hashed(sf, query_doc_id=10**12)
+    assert missing.num_rows == 0
+    assert missing.column_names == ["doc_id", "dot"]
+
+
+def test_fuzzy_name_pairs_matches_brute_sql(ray_session):
+    """Deletion-signature blocked edit<=1 self-join == the brute-force
+    cross-join oracle (recall 1.0 by the signature property; precision
+    1.0 by the exact verify)."""
+    import duckdb
+
+    from search_engine_ray.ops.linkage import fuzzy_name_pairs
+    from search_engine_ray.ops.sqlcheck import SQL_FUZZY_NAME_PAIRS
+
+    sf = "/root/testdata/sf0.001"
+    got = (fuzzy_name_pairs(sf).to_pandas()
+           .sort_values(["k1", "k2"]).reset_index(drop=True))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW customer AS SELECT * FROM "
+                f"'{sf}/customer.parquet'")
+    want = con.execute(SQL_FUZZY_NAME_PAIRS).df()
+    assert got["k1"].tolist() == want["k1"].tolist()
+    assert got["k2"].tolist() == want["k2"].tolist()
+    assert len(got) > 0
+
+
+def test_ed1_identity_vs_brute_dp():
+    """The lcp+lcs one-edit identity == real levenshtein<=1 on random
+    short strings (property check, incl. transpositions which are 2)."""
+    from search_engine_ray.ops.linkage import _ed1
+
+    def lev(a, b):
+        m, n = len(a), len(b)
+        d = list(range(n + 1))
+        for i in range(1, m + 1):
+            prev, d[0] = d[0], i
+            for j in range(1, n + 1):
+                cur = min(d[j] + 1, d[j - 1] + 1,
+                          prev + (a[i - 1] != b[j - 1]))
+                prev, d[j] = d[j], cur
+        return d[n]
+
+    rng = np.random.default_rng(11)
+    alpha = "abc"
+    for _ in range(300):
+        la, lb = rng.integers(0, 6, size=2)
+        a = "".join(rng.choice(list(alpha), size=la))
+        b = "".join(rng.choice(list(alpha), size=lb))
+        assert _ed1(a, b) == (lev(a, b) <= 1), (a, b)
+
+
 def test_percolate_matches_sql(ray_session):
     """Standing-query percolation == the per-query position() SQL; the
     never-matching stored query contributes zero rows; a custom
@@ -714,6 +891,74 @@ def test_dsir_logratio_prefers_target_lang(ray_session, tmp_path):
     assert got[0][1] / got[0][0] > got[2][1] / got[2][0]
     assert got[1][1] / got[1][0] > got[2][1] / got[2][0]
     assert got[2][1] < 0
+
+
+def test_semdedup_keeps_one_per_planted_group(ray_session, tmp_path):
+    """Planted SemDeDup: two groups of (near-)identical vectors in far
+    corners keep only their min vec_id; distinct singletons all
+    survive; scaled copies (cos == 1) dedup regardless of norm."""
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.ops.similarity import semdedup_keep_ids
+
+    # the k=4 seeds are the 4 SMALLEST vec_ids — keep those in four
+    # distinct directions so each planted dup group lands in one cluster
+    base_a = np.array([10.0, 0.0, 0.0, 0.0])
+    base_b = np.array([0.0, 10.0, 0.0, 0.0])
+    vecs = {
+        0: base_a, 8: base_a * 2.0, 9: base_a + 1e-4,   # group A
+        1: base_b, 7: base_b * 0.5,                      # group B
+        2: np.array([0.0, 0.0, 10.0, 0.0]),              # singletons
+        4: np.array([0.0, 0.0, 0.0, 10.0]),
+        5: np.array([5.0, 5.0, 0.0, 0.0]),
+    }
+    ids = sorted(vecs)
+    tbl = pa.table({
+        "vec_id": pa.array(ids, pa.int64()),
+        "embedding": pa.array([list(map(float, vecs[i])) for i in ids],
+                              pa.list_(pa.float32())),
+        "label": pa.array([0] * len(ids), pa.int32()),
+    })
+    pq.write_table(tbl, tmp_path / "embeddings.parquet")
+    kept = sorted(semdedup_keep_ids(str(tmp_path), k=4, threshold=0.95)
+                  .to_pandas()["vec_id"].tolist())
+    assert 0 in kept and 8 not in kept and 9 not in kept
+    assert 1 in kept and 7 not in kept
+    assert {2, 4, 5} <= set(kept)
+    assert kept == [0, 1, 2, 4, 5]
+
+
+def test_semdedup_keep_first_chain(ray_session, tmp_path):
+    """Keep-first greedy law: in a chain a~b, b~c, a!~c (ids 0<20<21),
+    b drops against kept a, but c SURVIVES because its only near-dup b
+    was itself dropped — transitive chains must not collapse."""
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.ops.similarity import semdedup_keep_ids
+
+    d15, d30 = np.deg2rad(15.0), np.deg2rad(30.0)
+    vecs = {
+        0: np.array([10.0, 0.0, 0.0, 0.0]),                      # a
+        1: np.array([0.0, 10.0, 0.0, 0.0]),                      # seed
+        2: np.array([0.0, 0.0, 10.0, 0.0]),                      # seed
+        4: np.array([0.0, 0.0, 0.0, 10.0]),                      # seed
+        20: 10 * np.array([np.cos(d15), np.sin(d15), 0.0, 0.0]),  # b
+        21: 10 * np.array([np.cos(d30), np.sin(d30), 0.0, 0.0]),  # c
+    }
+    # cos(a,b)=cos(b,c)=cos15=0.966>=0.95; cos(a,c)=cos30=0.866<0.95
+    ids = sorted(vecs)
+    tbl = pa.table({
+        "vec_id": pa.array(ids, pa.int64()),
+        "embedding": pa.array([list(map(float, vecs[i])) for i in ids],
+                              pa.list_(pa.float32())),
+        "label": pa.array([0] * len(ids), pa.int32()),
+    })
+    pq.write_table(tbl, tmp_path / "embeddings.parquet")
+    kept = sorted(semdedup_keep_ids(str(tmp_path), k=4, threshold=0.95)
+                  .to_pandas()["vec_id"].tolist())
+    assert 20 not in kept          # near kept 0
+    assert 21 in kept              # near only the DROPPED 20
+    assert {0, 1, 2, 4} <= set(kept)
 
 
 def test_near_dup_cluster_sizes_all_singletons(ray_session, tmp_path):
@@ -1310,6 +1555,7 @@ def test_prox_boosted_laws(pos_sf):
     assert adjacent_term_pairs(["data", "data"]) == []
 
 
+# ------------------------------------------------ image dHash near-dup
 def test_distributed_prox_boosted_parity(pos_sf):
     from search_engine_ray.ops.matching import positional_index
     from search_engine_ray.query.distributed import DistributedSearchEngine
@@ -1404,6 +1650,63 @@ def test_serp_snippets_indexed_laws(ray_session):
         assert first in r["snippet"].split()
 
 
+def test_click_triangles_planted(ray_session, tmp_path):
+    """A user whose clicks walk 1-2-3-1 plants exactly one triangle
+    (each corner counted once); a pure path user plants none."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.ops.graph import click_triangles
+
+    rows = []
+    eid = 0
+    # triangle walk: 1 2 3 1  -> edges (1,2),(2,3),(1,3)
+    for k in (1, 2, 3, 1):
+        rows.append(("u1", eid, json.dumps({"k": k}))); eid += 1
+    # path walk: 10 11 12 -> no closing edge
+    for k in (10, 11, 12):
+        rows.append(("u2", eid, json.dumps({"k": k}))); eid += 1
+    t = pa.table({
+        "event_id": pa.array([r[1] for r in rows], pa.int64()),
+        "ts": pa.array(list(range(len(rows))), pa.int64()),
+        "user_id": pa.array([r[0] for r in rows], pa.string()),
+        "props": pa.array([r[2] for r in rows], pa.string()),
+    })
+    pq.write_table(t, str(tmp_path / "events.parquet"))
+    out = click_triangles(str(tmp_path)).to_pandas()
+    assert dict(zip(out["node"], out["n_tri"])) == {1: 1, 2: 1, 3: 1}
+
+
+def test_related_items_planted(ray_session, tmp_path):
+    """Two users sharing items {1,2} -> pair (1,2) with co=2 and
+    jaccard 1e6*2/(2+2-2)=1000000; item 3 seen by only one user forms
+    pairs below min_co and drops."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.ops.graph import related_items
+
+    rows, eid = [], 0
+    for u, ks in (("u1", [1, 2, 3]), ("u2", [1, 2])):
+        for k in ks:
+            rows.append((u, eid, json.dumps({"k": k}))); eid += 1
+    t = pa.table({
+        "event_id": pa.array([r[1] for r in rows], pa.int64()),
+        "ts": pa.array(list(range(len(rows))), pa.int64()),
+        "user_id": pa.array([r[0] for r in rows], pa.string()),
+        "props": pa.array([r[2] for r in rows], pa.string()),
+    })
+    pq.write_table(t, str(tmp_path / "events.parquet"))
+    out = related_items(str(tmp_path)).to_pandas()
+    assert len(out) == 1
+    r = out.iloc[0]
+    assert (r["a"], r["b"], r["co"], r["jaccard_e6"]) == (1, 2, 2, 1000000)
+
+
 def test_fsck_green_and_detects_corruption(ray_session, built_index,
                                            tmp_path):
     """fsck passes on a healthy index; a tampered dictionary df and a
@@ -1442,6 +1745,7 @@ def test_fsck_green_and_detects_corruption(ray_session, built_index,
         fh.truncate(100)
     rep3 = check_index(bad2, sample_terms=10**9).to_pandas()
     assert (rep3["status"] == "fail").any()
+
 
 
 def test_c4_quality_flags_planted(ray_session, tmp_path):
